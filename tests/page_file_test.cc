@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "obs/metrics.h"
+#include "storage/crc32c.h"
 
 namespace fielddb {
 namespace {
@@ -122,6 +128,103 @@ TEST_F(DiskPageFileTest, OutOfRangeRejected) {
   ASSERT_TRUE(f.ok());
   Page p(512);
   EXPECT_EQ((*f)->Read(3, &p).code(), StatusCode::kOutOfRange);
+}
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  std::fseek(f, 0, SEEK_END);
+  bytes.resize(static_cast<size_t>(std::ftell(f)));
+  std::fseek(f, 0, SEEK_SET);
+  if (std::fread(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
+    bytes.clear();
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+bool WriteFileBytes(const std::string& path,
+                    const std::vector<uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  const bool ok =
+      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  return std::fclose(f) == 0 && ok;
+}
+
+// Writes one 4 KB page of seeded random payload as page 0 of `path`.
+void WriteRandomPage(const std::string& path, uint32_t epoch) {
+  auto f = DiskPageFile::Create(path, 4096, epoch);
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE((*f)->Allocate().ok());
+  Page p(4096);
+  Rng rng(4096);
+  for (uint32_t i = 0; i < 4096; i += 8) p.WriteAt<uint64_t>(i, rng.NextU64());
+  ASSERT_TRUE((*f)->Write(0, p).ok());
+  ASSERT_TRUE((*f)->Sync().ok());
+}
+
+// Pins the on-disk slot format to the portable table CRC: a slot written
+// through the (possibly hardware) checksum path stores exactly
+// MaskCrc(Crc32cPortable) over epoch, page id and payload, so snapshots
+// written by either implementation verify under the other.
+TEST_F(DiskPageFileTest, StoredChecksumMatchesPortableCrc) {
+  WriteRandomPage(path_, 3);
+  const std::vector<uint8_t> slot = ReadFileBytes(path_);
+  ASSERT_EQ(slot.size(), kPageHeaderSize + 4096u);
+  uint32_t stored = 0;
+  std::memcpy(&stored, slot.data(), sizeof(stored));
+  EXPECT_EQ(stored,
+            MaskCrc(Crc32cPortable(0, slot.data() + 4, slot.size() - 4)));
+}
+
+// A faster checksum must not be a weaker check: seeded single-bit and
+// bit-pair flips anywhere in a real 4 KB slot (CRC, epoch, page id,
+// payload) must each be reported as corruption, through both the single
+// Read and the batched read path, and each must be counted.
+TEST_F(DiskPageFileTest, SeededBitFlipsAreAlwaysDetected) {
+  WriteRandomPage(path_, 1);
+  const std::vector<uint8_t> clean = ReadFileBytes(path_);
+  ASSERT_EQ(clean.size(), kPageHeaderSize + 4096u);
+  Counter* const corrupt_reads =
+      MetricsRegistry::Default().GetCounter("storage.file.corrupt_page_reads");
+  const uint64_t bits = clean.size() * 8;
+  Rng rng(0xb17f11b5u);
+  constexpr int kTrials = 300;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    std::vector<uint8_t> image = clean;
+    const int flips = trial % 2 == 0 ? 1 : 2;
+    uint64_t previous = bits;  // a pair flips two distinct bits
+    for (int k = 0; k < flips; ++k) {
+      uint64_t bit = rng.NextBounded(bits);
+      while (bit == previous) bit = rng.NextBounded(bits);
+      previous = bit;
+      image[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+    ASSERT_TRUE(WriteFileBytes(path_, image));
+    auto f = DiskPageFile::Open(path_, 4096, 1);
+    ASSERT_TRUE(f.ok());
+    const uint64_t before = corrupt_reads->value();
+    Page p(4096);
+    Status st;
+    if (trial % 4 < 2) {
+      st = (*f)->Read(0, &p);
+    } else {
+      const PageId id = 0;
+      EXPECT_EQ((*f)->ReadBatch(&id, 1, &p, &st).code(),
+                StatusCode::kCorruption);
+    }
+    EXPECT_EQ(st.code(), StatusCode::kCorruption)
+        << "trial " << trial << ": " << flips << " flip(s) not detected";
+    EXPECT_EQ(corrupt_reads->value(), before + 1) << "trial " << trial;
+  }
+  // The untouched image still verifies.
+  ASSERT_TRUE(WriteFileBytes(path_, clean));
+  auto f = DiskPageFile::Open(path_, 4096, 1);
+  ASSERT_TRUE(f.ok());
+  Page p(4096);
+  EXPECT_TRUE((*f)->Read(0, &p).ok());
 }
 
 }  // namespace

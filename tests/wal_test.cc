@@ -120,6 +120,30 @@ TEST_F(WalTest, AppendCommitScanRoundTrip) {
   EXPECT_GT(b.offset, a.offset);
 }
 
+// Pins the frame format to the portable table CRC: a frame written
+// through the (possibly hardware) checksum path stores exactly
+// MaskCrc(Crc32cPortable) over bytes [4, frame_end), so logs written by
+// either implementation replay under the other.
+TEST_F(WalTest, StoredChecksumMatchesPortableCrc) {
+  auto wal = OpenLog(WalMode::kFsyncOnCommit, 5);
+  ASSERT_NE(wal, nullptr);
+  ASSERT_TRUE(wal->AppendUpdate(42, {0.25, -1.5, 1e300}).ok());
+  ASSERT_TRUE(wal->Commit().ok());
+  ASSERT_TRUE(wal->Close().ok());
+
+  const uint64_t size = FileSize();
+  ASSERT_EQ(size, WriteAheadLog::kFrameHeaderSize + 12 + 3 * 8u);
+  std::vector<uint8_t> frame(size);
+  std::FILE* f = std::fopen(path_.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fread(frame.data(), 1, size, f), size);
+  std::fclose(f);
+  uint32_t stored = 0;
+  std::memcpy(&stored, frame.data(), sizeof(stored));
+  EXPECT_EQ(stored,
+            MaskCrc(Crc32cPortable(0, frame.data() + 4, frame.size() - 4)));
+}
+
 TEST_F(WalTest, OversizedPayloadRefused) {
   auto wal = OpenLog(WalMode::kAsync);
   ASSERT_NE(wal, nullptr);
