@@ -12,7 +12,12 @@
 // hardware_threads >= 4 (speedup_gated in the JSON records whether it
 // did — single-core captures are flagged by tools/check_bench_json.py).
 //
-// Emits BENCH_shard_scaling.json (schema validated by
+// The shard counts are measured in kRounds interleaved rounds
+// (1, 2, 4, 8, 1, 2, 4, 8, ...) against routers built and warmed once,
+// so a burst of host noise lands on every count alike; each count's
+// figure is its best round, and the gate compares best against best.
+//
+// Emits BENCH_shard_scaling.json with every round (schema validated by
 // tools/check_bench_json.py).
 
 #include <algorithm>
@@ -20,6 +25,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,22 +44,32 @@ constexpr uint64_t kSeed = 2002;
 constexpr double kQInterval = 0.05;
 constexpr size_t kClients = 64;
 constexpr double kSpeedupTarget = 2.5;
+constexpr int kRounds = 3;
 
-struct ShardPoint {
-  uint32_t shards = 0;
+// One timed pass of the query list through one router.
+struct Round {
   double qps = 0.0;
   double avg_wall_ms = 0.0;
   double p50_wall_ms = 0.0;
   double p99_wall_ms = 0.0;
-  double speedup_vs_1 = 0.0;
   double shards_skipped_frac = 0.0;
   uint64_t admission_waits = 0;
   uint64_t failed = 0;
 };
 
-bool Fail(const Status& s) {
+// A shard count's summary: its best round (highest QPS), with failures
+// and admission waits summed over all rounds.
+struct ShardPoint {
+  uint32_t shards = 0;
+  Round best;
+  double speedup_vs_1 = 0.0;
+  uint64_t admission_waits = 0;
+  uint64_t failed = 0;
+  std::vector<Round> rounds;
+};
+
+void PrintError(const Status& s) {
   std::fprintf(stderr, "%s\n", s.ToString().c_str());
-  return false;
 }
 
 double Percentile(std::vector<double> sorted, double p) {
@@ -63,8 +79,10 @@ double Percentile(std::vector<double> sorted, double p) {
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-bool RunPoint(const Field& field, uint32_t shards,
-              const std::vector<ValueInterval>& queries, ShardPoint* out) {
+// Builds a router and warms every shard's pool with one full pass.
+StatusOr<std::unique_ptr<ShardRouter>> BuildWarm(
+    const Field& field, uint32_t shards,
+    const std::vector<ValueInterval>& queries) {
   ShardRouterOptions options;
   options.shards = shards;
   options.db.method = IndexMethod::kIHilbert;
@@ -73,18 +91,20 @@ bool RunPoint(const Field& field, uint32_t shards,
   options.db.pool_pages = 16384;
   StatusOr<std::unique_ptr<ShardRouter>> router =
       ShardRouter::Build(field, options);
-  if (!router.ok()) return Fail(router.status());
-
-  Counter* waits =
-      MetricsRegistry::Default().GetCounter("router.admission_waits");
-  const uint64_t waits_before = waits->value();
-
-  // Warmup: one full pass populates every shard's pool.
+  if (!router.ok()) return router;
   for (const ValueInterval& q : queries) {
     QueryStats stats;
     const Status s = (*router)->ValueQueryStats(q, &stats);
-    if (!s.ok()) return Fail(s);
+    if (!s.ok()) return s;
   }
+  return router;
+}
+
+Round MeasureRound(const ShardRouter& router,
+                   const std::vector<ValueInterval>& queries) {
+  Counter* waits =
+      MetricsRegistry::Default().GetCounter("router.admission_waits");
+  const uint64_t waits_before = waits->value();
 
   std::atomic<size_t> next{0};
   std::atomic<uint64_t> failed{0};
@@ -103,8 +123,8 @@ bool RunPoint(const Field& field, uint32_t shards,
         RouterQueryProfile profile;
         QueryStats stats;
         const auto q0 = std::chrono::steady_clock::now();
-        const Status s = (*router)->ValueQueryStats(queries[i], &stats,
-                                                    &profile);
+        const Status s = router.ValueQueryStats(queries[i], &stats,
+                                                &profile);
         const auto q1 = std::chrono::steady_clock::now();
         if (!s.ok()) {
           failed.fetch_add(1, std::memory_order_relaxed);
@@ -128,22 +148,35 @@ bool RunPoint(const Field& field, uint32_t shards,
   }
   std::sort(wall_ms.begin(), wall_ms.end());
 
-  out->shards = static_cast<uint32_t>((*router)->num_shards());
-  out->qps = wall_s > 0.0 ? static_cast<double>(wall_ms.size()) / wall_s : 0.0;
+  Round out;
+  out.qps = wall_s > 0.0 ? static_cast<double>(wall_ms.size()) / wall_s : 0.0;
   double sum = 0.0;
   for (const double ms : wall_ms) sum += ms;
-  out->avg_wall_ms =
+  out.avg_wall_ms =
       wall_ms.empty() ? 0.0 : sum / static_cast<double>(wall_ms.size());
-  out->p50_wall_ms = Percentile(wall_ms, 0.50);
-  out->p99_wall_ms = Percentile(wall_ms, 0.99);
+  out.p50_wall_ms = Percentile(wall_ms, 0.50);
+  out.p99_wall_ms = Percentile(wall_ms, 0.99);
   const uint64_t routed = touched.load() + skipped.load();
-  out->shards_skipped_frac =
+  out.shards_skipped_frac =
       routed > 0 ? static_cast<double>(skipped.load()) /
                        static_cast<double>(routed)
                  : 0.0;
-  out->admission_waits = waits->value() - waits_before;
-  out->failed = failed.load();
-  return (*router)->Close().ok();
+  out.admission_waits = waits->value() - waits_before;
+  out.failed = failed.load();
+  return out;
+}
+
+void AppendRoundFields(std::string* j, const Round& r) {
+  *j += "\"qps\": ";
+  JsonAppendDouble(j, r.qps);
+  *j += ", \"avg_wall_ms\": ";
+  JsonAppendDouble(j, r.avg_wall_ms);
+  *j += ", \"p50_wall_ms\": ";
+  JsonAppendDouble(j, r.p50_wall_ms);
+  *j += ", \"p99_wall_ms\": ";
+  JsonAppendDouble(j, r.p99_wall_ms);
+  *j += ", \"shards_skipped_frac\": ";
+  JsonAppendDouble(j, r.shards_skipped_frac);
 }
 
 bool WriteJson(const std::string& path, const std::vector<ShardPoint>& points,
@@ -163,25 +196,26 @@ bool WriteJson(const std::string& path, const std::vector<ShardPoint>& points,
   JsonAppendDouble(&j, kQInterval);
   j += ",\n  \"hardware_threads\": " +
        std::to_string(std::thread::hardware_concurrency());
+  j += ",\n  \"rounds\": " + std::to_string(kRounds);
   j += ",\n  \"points\": [";
   for (size_t i = 0; i < points.size(); ++i) {
     const ShardPoint& p = points[i];
     j += i == 0 ? "\n" : ",\n";
-    j += "    {\"shards\": " + std::to_string(p.shards);
-    j += ", \"qps\": ";
-    JsonAppendDouble(&j, p.qps);
-    j += ", \"avg_wall_ms\": ";
-    JsonAppendDouble(&j, p.avg_wall_ms);
-    j += ", \"p50_wall_ms\": ";
-    JsonAppendDouble(&j, p.p50_wall_ms);
-    j += ", \"p99_wall_ms\": ";
-    JsonAppendDouble(&j, p.p99_wall_ms);
+    j += "    {\"shards\": " + std::to_string(p.shards) + ", ";
+    AppendRoundFields(&j, p.best);
     j += ", \"speedup_vs_1\": ";
     JsonAppendDouble(&j, p.speedup_vs_1);
-    j += ", \"shards_skipped_frac\": ";
-    JsonAppendDouble(&j, p.shards_skipped_frac);
     j += ", \"admission_waits\": " + std::to_string(p.admission_waits);
-    j += ", \"failed\": " + std::to_string(p.failed) + "}";
+    j += ", \"failed\": " + std::to_string(p.failed);
+    j += ",\n     \"rounds\": [";
+    for (size_t r = 0; r < p.rounds.size(); ++r) {
+      j += r == 0 ? "{" : ", {";
+      AppendRoundFields(&j, p.rounds[r]);
+      j += ", \"admission_waits\": " +
+           std::to_string(p.rounds[r].admission_waits);
+      j += ", \"failed\": " + std::to_string(p.rounds[r].failed) + "}";
+    }
+    j += "]}";
   }
   j += "\n  ],\n  \"speedup_target\": ";
   JsonAppendDouble(&j, kSpeedupTarget);
@@ -228,19 +262,54 @@ int main(int argc, char** argv) {
   std::printf("hardware threads: %u  clients: %zu\n", hw, kClients);
 
   const std::vector<uint32_t> shard_counts = {1, 2, 4, 8};
+  std::vector<std::unique_ptr<ShardRouter>> routers;
   std::vector<ShardPoint> points;
-  double qps_at_1 = 0.0;
   for (const uint32_t shards : shard_counts) {
+    StatusOr<std::unique_ptr<ShardRouter>> router =
+        BuildWarm(*terrain, shards, queries);
+    if (!router.ok()) {
+      PrintError(router.status());
+      return 1;
+    }
     ShardPoint p;
-    if (!RunPoint(*terrain, shards, queries, &p)) return 1;
-    if (p.shards == 1) qps_at_1 = p.qps;
-    p.speedup_vs_1 = qps_at_1 > 0.0 ? p.qps / qps_at_1 : 0.0;
+    p.shards = static_cast<uint32_t>((*router)->num_shards());
     points.push_back(p);
-    std::printf("shards=%u qps=%9.1f p50=%8.3fms p99=%8.3fms speedup=%.2fx "
-                "skipped=%.0f%% waits=%llu failed=%llu\n",
-                p.shards, p.qps, p.p50_wall_ms, p.p99_wall_ms, p.speedup_vs_1,
-                p.shards_skipped_frac * 100.0,
-                static_cast<unsigned long long>(p.admission_waits),
+    routers.push_back(std::move(*router));
+  }
+
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t i = 0; i < routers.size(); ++i) {
+      const Round r = MeasureRound(*routers[i], queries);
+      std::printf("round=%d shards=%u qps=%9.1f p50=%8.3fms p99=%8.3fms "
+                  "skipped=%.0f%% waits=%llu failed=%llu\n",
+                  round, points[i].shards, r.qps, r.p50_wall_ms,
+                  r.p99_wall_ms, r.shards_skipped_frac * 100.0,
+                  static_cast<unsigned long long>(r.admission_waits),
+                  static_cast<unsigned long long>(r.failed));
+      points[i].rounds.push_back(r);
+    }
+  }
+  for (std::unique_ptr<ShardRouter>& router : routers) {
+    const Status s = router->Close();
+    if (!s.ok()) {
+      PrintError(s);
+      return 1;
+    }
+  }
+
+  double qps_at_1 = 0.0;
+  for (ShardPoint& p : points) {
+    for (const Round& r : p.rounds) {
+      if (r.qps > p.best.qps) p.best = r;
+      p.admission_waits += r.admission_waits;
+      p.failed += r.failed;
+    }
+    if (p.shards == 1) qps_at_1 = p.best.qps;
+  }
+  for (ShardPoint& p : points) {
+    p.speedup_vs_1 = qps_at_1 > 0.0 ? p.best.qps / qps_at_1 : 0.0;
+    std::printf("shards=%u best qps=%9.1f speedup=%.2fx failed=%llu\n",
+                p.shards, p.best.qps, p.speedup_vs_1,
                 static_cast<unsigned long long>(p.failed));
     if (p.failed != 0) {
       std::fprintf(stderr, "shards=%u: %llu queries failed\n", p.shards,

@@ -69,34 +69,38 @@ Rect2 ConvexPolygon::BoundingBox() const {
   return r;
 }
 
+size_t ClipHalfPlane(const Point2* in, size_t count, Point2 n, double c,
+                     Point2* out) {
+  size_t emitted = 0;
+  for (size_t i = 0; i < count; ++i) {
+    const Point2 cur = in[i];
+    const Point2 nxt = in[i + 1 == count ? 0 : i + 1];
+    const double dc = Dot(n, cur) + c;
+    const double dn = Dot(n, nxt) + c;
+    if (dc >= 0) out[emitted++] = cur;
+    // Edge crosses the boundary: emit the intersection point.
+    if ((dc > 0 && dn < 0) || (dc < 0 && dn > 0)) {
+      const double t = dc / (dc - dn);
+      out[emitted++] = cur + t * (nxt - cur);
+    }
+  }
+  return emitted < 3 ? 0 : emitted;
+}
+
 ConvexPolygon ClipHalfPlane(const ConvexPolygon& poly, Point2 n, double c) {
   ConvexPolygon out;
   const size_t count = poly.vertices.size();
   if (count == 0) return out;
-  out.vertices.reserve(count + 1);
-  for (size_t i = 0; i < count; ++i) {
-    const Point2 cur = poly.vertices[i];
-    const Point2 nxt = poly.vertices[(i + 1) % count];
-    const double dc = Dot(n, cur) + c;
-    const double dn = Dot(n, nxt) + c;
-    if (dc >= 0) out.vertices.push_back(cur);
-    // Edge crosses the boundary: emit the intersection point.
-    if ((dc > 0 && dn < 0) || (dc < 0 && dn > 0)) {
-      const double t = dc / (dc - dn);
-      out.vertices.push_back(cur + t * (nxt - cur));
-    }
-  }
-  if (out.vertices.size() < 3) out.vertices.clear();
+  out.vertices.resize(2 * count);
+  out.vertices.resize(
+      ClipHalfPlane(poly.vertices.data(), count, n, c, out.vertices.data()));
   return out;
 }
 
 ConvexPolygon PolygonFromTriangle(const Triangle2& t) {
+  const std::array<Point2, 3> v = CcwVertices(t);
   ConvexPolygon poly;
-  if (t.SignedArea() >= 0) {
-    poly.vertices = {t.v[0], t.v[1], t.v[2]};
-  } else {
-    poly.vertices = {t.v[0], t.v[2], t.v[1]};
-  }
+  poly.vertices.assign(v.begin(), v.end());
   return poly;
 }
 

@@ -1,6 +1,7 @@
 #ifndef FIELDDB_COMMON_GEOMETRY_H_
 #define FIELDDB_COMMON_GEOMETRY_H_
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
@@ -133,9 +134,25 @@ struct ConvexPolygon {
   Rect2 BoundingBox() const;
 };
 
-/// Clips a convex polygon against the half-plane `Dot(n, p) + c >= 0`
-/// using one pass of Sutherland–Hodgman. The result is convex (possibly
-/// empty). `n` need not be unit length.
+/// The half-plane `Dot(n, p) + c >= 0`; `n` need not be unit length.
+struct HalfPlane {
+  Point2 n;
+  double c = 0.0;
+};
+
+/// One Sutherland–Hodgman pass: clips the `count` vertices at `in`
+/// against the half-plane `Dot(n, p) + c >= 0` and writes the survivors
+/// to `out`, returning their number — 0 when fewer than 3 survive.
+/// Every input vertex emits itself and/or one edge crossing, so `out`
+/// must hold 2 * count vertices: for convex input the exact answer has at
+/// most count + 1, but rounding can make a near-degenerate piece cross
+/// the line more than twice. `in` and `out` must not overlap. This is the
+/// only clip implementation; every other clip routine calls it.
+size_t ClipHalfPlane(const Point2* in, size_t count, Point2 n, double c,
+                     Point2* out);
+
+/// Clips a convex polygon against the half-plane `Dot(n, p) + c >= 0`.
+/// The result is convex (possibly empty).
 ConvexPolygon ClipHalfPlane(const ConvexPolygon& poly, Point2 n, double c);
 
 /// Convenience: clips against `a*x + b*y + c >= 0`.
@@ -144,8 +161,42 @@ inline ConvexPolygon ClipHalfPlane(const ConvexPolygon& poly, double a,
   return ClipHalfPlane(poly, Point2{a, b}, c);
 }
 
+/// The triangle's vertices in counter-clockwise order, starting at
+/// v[0] (a zero-area triangle keeps its order).
+inline std::array<Point2, 3> CcwVertices(const Triangle2& t) {
+  if (t.SignedArea() >= 0) return t.v;
+  return {t.v[0], t.v[2], t.v[1]};
+}
+
 /// Builds a polygon from a triangle, normalizing orientation to CCW.
 ConvexPolygon PolygonFromTriangle(const Triangle2& t);
+
+/// Clips a triangle (oriented as PolygonFromTriangle does) against the
+/// half-planes in order, ping-ponging between two stack buffers sized by
+/// the 2n bound of ClipHalfPlane (3 -> 6 -> 12 -> ... vertices), and
+/// stores a surviving piece in `out->vertices` with one exact-size
+/// assignment. Returns false, leaving `*out` untouched, when nothing
+/// survives. Bit-identical to chaining the ConvexPolygon ClipHalfPlane
+/// over PolygonFromTriangle(t).
+template <size_t K>
+bool ClipTriangle(const Triangle2& t, const std::array<HalfPlane, K>& planes,
+                  ConvexPolygon* out) {
+  static_assert(K >= 1 && K <= 4,
+                "1 to 4 half-planes (at most 2 x 48 stack vertices)");
+  constexpr size_t kCapacity = size_t{3} << K;
+  Point2 buf[2][kCapacity];
+  const std::array<Point2, 3> v = CcwVertices(t);
+  std::copy(v.begin(), v.end(), buf[0]);
+  size_t count = v.size();
+  size_t cur = 0;
+  for (const HalfPlane& h : planes) {
+    count = ClipHalfPlane(buf[cur], count, h.n, h.c, buf[cur ^ 1]);
+    if (count == 0) return false;
+    cur ^= 1;
+  }
+  out->vertices.assign(buf[cur], buf[cur] + count);
+  return true;
+}
 
 /// Builds a polygon from an axis-aligned rectangle (CCW).
 ConvexPolygon PolygonFromRect(const Rect2& r);

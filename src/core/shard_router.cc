@@ -381,10 +381,16 @@ Status ShardRouter::ValueQuery(const ValueInterval& query,
 
   // Deterministic gather: ascending shard id. Shard-local store order
   // equals the global linearization restricted to the shard, so this
-  // concatenation is independent of the shard count.
+  // concatenation is independent of the shard count. Pieces are moved,
+  // not copied, into one exact-size reservation.
+  size_t total_pieces = 0;
   for (uint32_t k : targets) {
     if (!statuses[k].ok()) return statuses[k];
-    out->region.Append(per_shard[k].region);
+    total_pieces += per_shard[k].region.NumPieces();
+  }
+  out->region.pieces.reserve(total_pieces);
+  for (uint32_t k : targets) {
+    out->region.Append(std::move(per_shard[k].region));
     MergeStats(per_shard[k].stats, &out->stats);
   }
   const double wall_ms = MsSince(t0);

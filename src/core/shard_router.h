@@ -123,8 +123,9 @@ class ShardRouter {
   ShardRouter& operator=(const ShardRouter&) = delete;
 
   /// Scatter/gather value query with exact regions. Region pieces are
-  /// gathered in ascending shard id (see class comment for why that is
-  /// deterministic). The merged stats sum every touched shard's
+  /// moved (not copied) out of each shard's result into one exact-size
+  /// reservation, in ascending shard id (see class comment for why that
+  /// is deterministic). The merged stats sum every touched shard's
   /// counters; wall_seconds is the router-level wall time.
   Status ValueQuery(const ValueInterval& query, ValueQueryResult* out,
                     RouterQueryProfile* profile = nullptr) const;

@@ -21,13 +21,14 @@ Status ClipTriangle(Point2 a, double wa, Point2 b, double wb, Point2 c,
   StatusOr<LinearCoeffs> plane = FitTrianglePlane(a, wa, b, wb, c, wc);
   if (!plane.ok()) return plane.status();
 
-  ConvexPolygon poly = PolygonFromTriangle(Triangle2{{a, b, c}});
-  // w(p) >= q.min  <=>  gx*x + gy*y + (c - q.min) >= 0
-  poly = ClipHalfPlane(poly, plane->gx, plane->gy, plane->c - q.min);
-  // w(p) <= q.max  <=>  -gx*x - gy*y + (q.max - c) >= 0
-  poly = ClipHalfPlane(poly, -plane->gx, -plane->gy, q.max - plane->c);
-  if (!poly.IsEmpty()) {
-    out->pieces.push_back(std::move(poly));
+  const std::array<HalfPlane, 2> band = {
+      // w(p) >= q.min  <=>  gx*x + gy*y + (c - q.min) >= 0
+      HalfPlane{{plane->gx, plane->gy}, plane->c - q.min},
+      // w(p) <= q.max  <=>  -gx*x - gy*y + (q.max - c) >= 0
+      HalfPlane{{-plane->gx, -plane->gy}, q.max - plane->c}};
+  ConvexPolygon piece;
+  if (ClipTriangle(Triangle2{{a, b, c}}, band, &piece)) {
+    out->pieces.push_back(std::move(piece));
     ++*appended;
   }
   return Status::OK();

@@ -1,6 +1,7 @@
 #ifndef FIELDDB_FIELD_REGION_H_
 #define FIELDDB_FIELD_REGION_H_
 
+#include <iterator>
 #include <vector>
 
 #include "common/geometry.h"
@@ -24,8 +25,23 @@ struct Region {
 
   Rect2 BoundingBox() const;
 
+  /// Appends copies of `other`'s pieces.
   void Append(const Region& other) {
     pieces.insert(pieces.end(), other.pieces.begin(), other.pieces.end());
+  }
+
+  /// Appends `other`'s pieces by move and leaves `other` empty and
+  /// reusable. An empty target takes `other`'s buffer whole unless it
+  /// already holds a larger one (a caller's reservation).
+  void Append(Region&& other) {
+    if (pieces.empty() && pieces.capacity() <= other.pieces.capacity()) {
+      pieces.swap(other.pieces);
+    } else {
+      pieces.insert(pieces.end(),
+                    std::make_move_iterator(other.pieces.begin()),
+                    std::make_move_iterator(other.pieces.end()));
+    }
+    other.pieces.clear();
   }
 };
 

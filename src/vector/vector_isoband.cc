@@ -22,13 +22,14 @@ Status ClipVectorTriangle(Point2 a, double ua, double va, Point2 b,
   StatusOr<LinearCoeffs> pv = FitTrianglePlane(a, va, b, vb, c, vc);
   if (!pv.ok()) return pv.status();
 
-  ConvexPolygon poly = PolygonFromTriangle(Triangle2{{a, b, c}});
-  poly = ClipHalfPlane(poly, pu->gx, pu->gy, pu->c - q.u.min);
-  poly = ClipHalfPlane(poly, -pu->gx, -pu->gy, q.u.max - pu->c);
-  poly = ClipHalfPlane(poly, pv->gx, pv->gy, pv->c - q.v.min);
-  poly = ClipHalfPlane(poly, -pv->gx, -pv->gy, q.v.max - pv->c);
-  if (!poly.IsEmpty()) {
-    out->pieces.push_back(std::move(poly));
+  const std::array<HalfPlane, 4> band = {
+      HalfPlane{{pu->gx, pu->gy}, pu->c - q.u.min},
+      HalfPlane{{-pu->gx, -pu->gy}, q.u.max - pu->c},
+      HalfPlane{{pv->gx, pv->gy}, pv->c - q.v.min},
+      HalfPlane{{-pv->gx, -pv->gy}, q.v.max - pv->c}};
+  ConvexPolygon piece;
+  if (ClipTriangle(Triangle2{{a, b, c}}, band, &piece)) {
+    out->pieces.push_back(std::move(piece));
     ++*appended;
   }
   return Status::OK();

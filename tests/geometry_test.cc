@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.h"
+#include "legacy_clip.h"
+
 namespace fielddb {
 namespace {
 
@@ -162,6 +167,94 @@ TEST(ClipHalfPlaneTest, SequentialClipsCommute) {
       ClipHalfPlane(ClipHalfPlane(square, 0, 1, -0.25), 1, 0, -0.25);
   EXPECT_NEAR(a.Area(), b.Area(), 1e-12);
   EXPECT_NEAR(a.Area(), 0.75 * 0.75, 1e-12);
+}
+
+// Clips `poly` with the span kernel into a buffer of exactly 2n vertices
+// (so ASan flags any overrun) and checks the result against the
+// ConvexPolygon wrapper and the legacy vector-returning pass, bit for bit.
+size_t ClipAndCompare(const std::vector<Point2>& poly, Point2 n, double c) {
+  std::vector<Point2> out(2 * poly.size());
+  const size_t count = ClipHalfPlane(poly.data(), poly.size(), n, c,
+                                     out.data());
+  EXPECT_LE(count, 2 * poly.size());
+  EXPECT_TRUE(count == 0 || count >= 3) << count;
+  out.resize(count);
+  EXPECT_TRUE(legacy::SameBits(
+      out, ClipHalfPlane(ConvexPolygon{poly}, n, c).vertices));
+  EXPECT_TRUE(legacy::SameBits(out, legacy::ClipHalfPlane(poly, n, c)));
+  return count;
+}
+
+// A comb: `teeth` spikes between y = 0 and y = 1, closed along y = 0, so
+// a line through the middle crosses every spike edge.
+std::vector<Point2> Comb(size_t teeth) {
+  std::vector<Point2> poly;
+  for (size_t i = 0; i < teeth; ++i) {
+    poly.push_back({static_cast<double>(i), 0.0});
+    poly.push_back({i + 0.5, 1.0});
+  }
+  poly.push_back({static_cast<double>(teeth), 0.0});
+  return poly;
+}
+
+TEST(ClipHalfPlaneSpanTest, ZigZagExceedsConvexBoundWithinTwoN) {
+  for (size_t teeth : {3, 5, 16}) {
+    const std::vector<Point2> comb = Comb(teeth);
+    // y >= 0.5 keeps every spike tip and crosses two edges per spike:
+    // 3 * teeth vertices, more than the n + 1 a convex input can yield.
+    const size_t count = ClipAndCompare(comb, {0, 1}, -0.5);
+    EXPECT_EQ(count, 3 * teeth);
+    EXPECT_GT(count, comb.size() + 1);
+    // The mirrored half keeps the base and crosses the same edges.
+    EXPECT_GT(ClipAndCompare(comb, {0, -1}, 0.5), comb.size() + 1);
+    // Lines through vertices (dc == 0) and slanted cuts.
+    ClipAndCompare(comb, {0, 1}, 0.0);
+    ClipAndCompare(comb, {0, 1}, -1.0);
+    ClipAndCompare(comb, {0.1, 1}, -0.5);
+  }
+}
+
+TEST(ClipHalfPlaneSpanTest, RandomNonConvexPolygonsMatchWrapper) {
+  Rng rng(7);
+  size_t over_convex_bound = 0;
+  for (int trial = 0; trial < 5000; ++trial) {
+    std::vector<Point2> poly(3 + rng.NextBounded(30));
+    for (Point2& p : poly) p = {rng.NextDouble(), rng.NextDouble()};
+    const Point2 n{rng.NextDouble(-1, 1), rng.NextDouble(-1, 1)};
+    const double c = rng.NextDouble(-1, 1);
+    if (ClipAndCompare(poly, n, c) > poly.size() + 1) ++over_convex_bound;
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(over_convex_bound, 0u);
+}
+
+TEST(ClipHalfPlaneSpanTest, EmptyAndDegenerateInput) {
+  std::vector<Point2> out(8);
+  EXPECT_EQ(ClipHalfPlane(nullptr, 0, {1, 0}, 0, out.data()), 0u);
+  const std::vector<Point2> segment = {{0, 0}, {1, 0}};
+  EXPECT_EQ(ClipHalfPlane(segment.data(), segment.size(), {1, 0}, 1,
+                          out.data()),
+            0u);
+  EXPECT_TRUE(ClipHalfPlane(ConvexPolygon{}, Point2{1, 0}, 0).IsEmpty());
+}
+
+TEST(ClipTriangleTest, MatchesChainedWrapperClips) {
+  Rng rng(11);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const Triangle2 t{{Point2{rng.NextDouble(), rng.NextDouble()},
+                       Point2{rng.NextDouble(), rng.NextDouble()},
+                       Point2{rng.NextDouble(), rng.NextDouble()}}};
+    std::array<HalfPlane, 4> planes;
+    for (HalfPlane& h : planes) {
+      h = {{rng.NextDouble(-1, 1), rng.NextDouble(-1, 1)},
+           rng.NextDouble(-0.5, 0.5)};
+    }
+    ConvexPolygon want = PolygonFromTriangle(t);
+    for (const HalfPlane& h : planes) want = ClipHalfPlane(want, h.n, h.c);
+    ConvexPolygon got;
+    EXPECT_EQ(ClipTriangle(t, planes, &got), !want.IsEmpty());
+    EXPECT_TRUE(legacy::SameBits(got.vertices, want.vertices));
+  }
 }
 
 TEST(PolygonFromTriangleTest, NormalizesOrientation) {

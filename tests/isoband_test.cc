@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
+#include "field/interpolation.h"
 #include "field/region.h"
+#include "legacy_clip.h"
 
 namespace fielddb {
 namespace {
@@ -126,6 +132,149 @@ TEST(IsobandTest, EmptyQueryRejected) {
   EXPECT_FALSE(n.ok());
 }
 
+// The estimation step as it was before the stack-buffer clip: every
+// sub-triangle clipped by chained vector-returning passes.
+Status LegacyClipTriangle(Point2 a, double wa, Point2 b, double wb, Point2 c,
+                          double wc, const ValueInterval& q, Region* out,
+                          size_t* appended) {
+  ValueInterval iv = ValueInterval::Empty();
+  iv.Extend(wa);
+  iv.Extend(wb);
+  iv.Extend(wc);
+  if (!iv.Intersects(q)) return Status::OK();
+  StatusOr<LinearCoeffs> plane = FitTrianglePlane(a, wa, b, wb, c, wc);
+  if (!plane.ok()) return plane.status();
+  std::vector<Point2> poly = legacy::ClipTriangle(
+      Triangle2{{a, b, c}},
+      {HalfPlane{{plane->gx, plane->gy}, plane->c - q.min},
+       HalfPlane{{-plane->gx, -plane->gy}, q.max - plane->c}});
+  if (!poly.empty()) {
+    out->pieces.push_back(ConvexPolygon{std::move(poly)});
+    ++*appended;
+  }
+  return Status::OK();
+}
+
+StatusOr<size_t> LegacyCellIsoband(const CellRecord& cell,
+                                   const ValueInterval& q, Region* out) {
+  size_t appended = 0;
+  if (!cell.Interval().Intersects(q)) return appended;
+  if (cell.num_vertices == 3) {
+    FIELDDB_RETURN_IF_ERROR(LegacyClipTriangle(
+        cell.Vertex(0), cell.w[0], cell.Vertex(1), cell.w[1], cell.Vertex(2),
+        cell.w[2], q, out, &appended));
+    return appended;
+  }
+  const Point2 center = cell.Bounds().Center();
+  const double wc = (cell.w[0] + cell.w[1] + cell.w[2] + cell.w[3]) / 4.0;
+  for (int i = 0; i < 4; ++i) {
+    const int j = (i + 1) % 4;
+    FIELDDB_RETURN_IF_ERROR(LegacyClipTriangle(
+        cell.Vertex(i), cell.w[i], cell.Vertex(j), cell.w[j], center, wc, q,
+        out, &appended));
+  }
+  return appended;
+}
+
+// Vertex values drawn so ties, flat cells and exact band endpoints occur.
+double DrawValue(Rng& rng) {
+  return rng.NextBounded(4) == 0 ? static_cast<double>(rng.NextBounded(3))
+                                 : rng.NextDouble(-0.5, 2.5);
+}
+
+// A band mixing random widths with the edge cases: an endpoint equal to a
+// vertex value, zero width, a band holding the whole cell, and a miss.
+ValueInterval DrawBand(Rng& rng, const CellRecord& cell) {
+  const double vertex = cell.w[rng.NextBounded(cell.num_vertices)];
+  double lo = rng.NextDouble(-0.5, 2.5);
+  double hi = rng.NextDouble(-0.5, 2.5);
+  if (lo > hi) std::swap(lo, hi);
+  switch (rng.NextBounded(7)) {
+    case 0: return {vertex, std::max(vertex, hi)};
+    case 1: return {std::min(vertex, lo), vertex};
+    case 2: return {vertex, vertex};
+    case 3: return {lo, lo};
+    case 4: return {cell.Interval().min - 1.0, cell.Interval().max + 1.0};
+    case 5: return {cell.Interval().max + 0.5, cell.Interval().max + 1.0};
+    default: return {lo, hi};
+  }
+}
+
+// Triangles, including collinear and near-degenerate ones.
+CellRecord DrawTriangle(Rng& rng) {
+  const Point2 a{rng.NextDouble(), rng.NextDouble()};
+  const Point2 b{rng.NextDouble(), rng.NextDouble()};
+  Point2 c{rng.NextDouble(), rng.NextDouble()};
+  const uint64_t kind = rng.NextBounded(8);
+  if (kind <= 1) {
+    // On line ab, optionally nudged off it by a sliver.
+    const Point2 along = a + rng.NextDouble(-0.5, 1.5) * (b - a);
+    const double nudge = kind == 0 ? 0.0 : rng.NextDouble(1e-11, 1e-6);
+    c = along + nudge * Point2{a.y - b.y, b.x - a.x};
+  }
+  return CellRecord::Triangle(0, a, DrawValue(rng), b, DrawValue(rng), c,
+                              DrawValue(rng));
+}
+
+CellRecord DrawQuad(Rng& rng) {
+  const Point2 lo{rng.NextDouble(-2, 2), rng.NextDouble(-2, 2)};
+  const Point2 size{rng.NextDouble(1e-6, 1.0), rng.NextDouble(1e-6, 1.0)};
+  const double flat = DrawValue(rng);
+  const bool is_flat = rng.NextBounded(10) == 0;
+  auto value = [&] { return is_flat ? flat : DrawValue(rng); };
+  const double ll = value(), lr = value(), ur = value(), ul = value();
+  return CellRecord::Quad(0, Rect2{lo, lo + size}, ll, lr, ur, ul);
+}
+
+void ExpectMatchesLegacy(const CellRecord& cell, const ValueInterval& band,
+                         size_t* pieces) {
+  Region got, want;
+  const StatusOr<size_t> n = CellIsoband(cell, band, &got);
+  const StatusOr<size_t> m = LegacyCellIsoband(cell, band, &want);
+  ASSERT_EQ(n.ok(), m.ok());
+  if (n.ok()) {
+    ASSERT_EQ(*n, *m);
+  }
+  legacy::ExpectSameRegion(got, want);
+  *pieces += got.NumPieces();
+}
+
+TEST(IsobandTest, BitIdenticalToLegacyClipOnRandomCells) {
+  Rng rng(20020325);
+  size_t pieces = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const CellRecord tri = DrawTriangle(rng);
+    ExpectMatchesLegacy(tri, DrawBand(rng, tri), &pieces);
+    const CellRecord quad = DrawQuad(rng);
+    ExpectMatchesLegacy(quad, DrawBand(rng, quad), &pieces);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Guard against a vacuous run: most trials must produce pieces.
+  EXPECT_GT(pieces, 20000u);
+}
+
+TEST(IsobandTest, BitIdenticalToLegacyClipOnEdgeCases) {
+  const CellRecord tri =
+      CellRecord::Triangle(0, {0, 0}, 0, {1, 0}, 1, {0, 1}, 2);
+  const CellRecord flat =
+      CellRecord::Quad(0, Rect2{{0, 0}, {1, 1}}, 0.5, 0.5, 0.5, 0.5);
+  const CellRecord quad =
+      CellRecord::Quad(0, Rect2{{0, 0}, {1, 1}}, 0, 1, 2, 1);
+  const CellRecord sliver = CellRecord::Triangle(
+      0, {0, 0}, 0, {1, 0}, 1, {0.5, 1e-11}, 2);
+  const CellRecord collinear =
+      CellRecord::Triangle(0, {0, 0}, 0, {1, 1}, 1, {2, 2}, 2);
+  const std::vector<ValueInterval> bands = {
+      {0, 1}, {1, 1}, {1, 2}, {0.5, 0.5}, {-1, 3}, {2, 2}, {0, 0}, {3, 4}};
+  size_t pieces = 0;
+  for (const CellRecord& cell : {tri, flat, quad, sliver, collinear}) {
+    for (const ValueInterval& band : bands) {
+      ExpectMatchesLegacy(cell, band, &pieces);
+    }
+  }
+  EXPECT_GT(pieces, 0u);
+}
+
 TEST(RegionTest, AppendAndTotals) {
   Region a, b;
   a.pieces.push_back(PolygonFromRect(Rect2{{0, 0}, {1, 1}}));
@@ -134,6 +283,60 @@ TEST(RegionTest, AppendAndTotals) {
   EXPECT_EQ(a.NumPieces(), 2u);
   EXPECT_NEAR(a.TotalArea(), 3.0, 1e-12);
   EXPECT_EQ(a.BoundingBox(), (Rect2{{0, 0}, {4, 3}}));
+}
+
+Region MakeRegion(std::initializer_list<Rect2> rects) {
+  Region r;
+  for (const Rect2& rect : rects) r.pieces.push_back(PolygonFromRect(rect));
+  return r;
+}
+
+TEST(RegionTest, MoveAppendIntoEmptyTakesPieces) {
+  Region src = MakeRegion({Rect2{{0, 0}, {1, 1}}, Rect2{{1, 0}, {2, 1}}});
+  const Point2* first_vertex = src.pieces[0].vertices.data();
+  Region dst;
+  dst.Append(std::move(src));
+  ASSERT_EQ(dst.NumPieces(), 2u);
+  // The swap path hands over the pieces themselves, not copies.
+  EXPECT_EQ(dst.pieces[0].vertices.data(), first_vertex);
+  EXPECT_TRUE(src.IsEmpty());
+}
+
+TEST(RegionTest, MoveAppendKeepsOrderAndMatchesCopy) {
+  const Region a = MakeRegion({Rect2{{0, 0}, {1, 1}}});
+  const Region b = MakeRegion({Rect2{{2, 2}, {4, 3}}, Rect2{{5, 5}, {6, 7}}});
+  const Region c = MakeRegion({Rect2{{-1, -1}, {0, 0}}});
+
+  Region copied;
+  copied.Append(a);
+  copied.Append(b);
+  copied.Append(c);
+
+  Region moved;
+  moved.pieces.reserve(8);  // A reservation survives the first append.
+  for (Region part : {a, b, c}) moved.Append(std::move(part));
+  EXPECT_GE(moved.pieces.capacity(), 8u);
+
+  ASSERT_EQ(moved.NumPieces(), 4u);
+  legacy::ExpectSameRegion(moved, copied);
+  EXPECT_EQ(moved.pieces[1].vertices, b.pieces[0].vertices);
+  EXPECT_EQ(moved.pieces[3].vertices, c.pieces[0].vertices);
+}
+
+TEST(RegionTest, MovedFromRegionIsReusable) {
+  Region dst = MakeRegion({Rect2{{0, 0}, {1, 1}}});
+  Region src = MakeRegion({Rect2{{1, 1}, {2, 2}}});
+  dst.Append(std::move(src));  // Non-empty target: element-wise move.
+  EXPECT_EQ(dst.NumPieces(), 2u);
+  EXPECT_TRUE(src.IsEmpty());
+  EXPECT_DOUBLE_EQ(src.TotalArea(), 0.0);
+
+  src.pieces.push_back(PolygonFromRect(Rect2{{3, 3}, {5, 5}}));
+  EXPECT_NEAR(src.TotalArea(), 4.0, 1e-12);
+  dst.Append(std::move(src));
+  EXPECT_EQ(dst.NumPieces(), 3u);
+  EXPECT_NEAR(dst.TotalArea(), 6.0, 1e-12);
+  EXPECT_TRUE(src.IsEmpty());
 }
 
 TEST(SvgTest, RejectsEmptyViewportAndBadPath) {

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
+#include "field/interpolation.h"
 #include "gen/fractal.h"
+#include "legacy_clip.h"
+#include "vector/vector_isoband.h"
 
 namespace fielddb {
 namespace {
@@ -113,6 +119,141 @@ TEST(VectorIsobandTest, DisjointBandEmpty) {
   auto n = VectorCellIsoband(rec, {{50, 60}, {-10, 10}}, &region);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 0u);
+}
+
+// The vector estimation step as it was before the stack-buffer clip:
+// four chained vector-returning passes per sub-triangle.
+Status LegacyClipVectorTriangle(Point2 a, double ua, double va, Point2 b,
+                                double ub, double vb, Point2 c, double uc,
+                                double vc, const VectorBandQuery& q,
+                                Region* out, size_t* appended) {
+  ValueInterval iu = ValueInterval::Empty(), iv = ValueInterval::Empty();
+  iu.Extend(ua); iu.Extend(ub); iu.Extend(uc);
+  iv.Extend(va); iv.Extend(vb); iv.Extend(vc);
+  if (!iu.Intersects(q.u) || !iv.Intersects(q.v)) return Status::OK();
+  StatusOr<LinearCoeffs> pu = FitTrianglePlane(a, ua, b, ub, c, uc);
+  if (!pu.ok()) return pu.status();
+  StatusOr<LinearCoeffs> pv = FitTrianglePlane(a, va, b, vb, c, vc);
+  if (!pv.ok()) return pv.status();
+  std::vector<Point2> poly = legacy::ClipTriangle(
+      Triangle2{{a, b, c}},
+      {HalfPlane{{pu->gx, pu->gy}, pu->c - q.u.min},
+       HalfPlane{{-pu->gx, -pu->gy}, q.u.max - pu->c},
+       HalfPlane{{pv->gx, pv->gy}, pv->c - q.v.min},
+       HalfPlane{{-pv->gx, -pv->gy}, q.v.max - pv->c}});
+  if (!poly.empty()) {
+    out->pieces.push_back(ConvexPolygon{std::move(poly)});
+    ++*appended;
+  }
+  return Status::OK();
+}
+
+StatusOr<size_t> LegacyVectorCellIsoband(const VectorCellRecord& cell,
+                                         const VectorBandQuery& q,
+                                         Region* out) {
+  size_t appended = 0;
+  if (!cell.ValueBox().Intersects(q.AsBox())) return appended;
+  if (cell.num_vertices == 3) {
+    FIELDDB_RETURN_IF_ERROR(LegacyClipVectorTriangle(
+        cell.Vertex(0), cell.u[0], cell.v[0], cell.Vertex(1), cell.u[1],
+        cell.v[1], cell.Vertex(2), cell.u[2], cell.v[2], q, out,
+        &appended));
+    return appended;
+  }
+  const Point2 center = cell.Bounds().Center();
+  const double uc = (cell.u[0] + cell.u[1] + cell.u[2] + cell.u[3]) / 4;
+  const double vc = (cell.v[0] + cell.v[1] + cell.v[2] + cell.v[3]) / 4;
+  for (int i = 0; i < 4; ++i) {
+    const int j = (i + 1) % 4;
+    FIELDDB_RETURN_IF_ERROR(LegacyClipVectorTriangle(
+        cell.Vertex(i), cell.u[i], cell.v[i], cell.Vertex(j), cell.u[j],
+        cell.v[j], center, uc, vc, q, out, &appended));
+  }
+  return appended;
+}
+
+// Component values drawn so ties, flat components and exact band
+// endpoints occur.
+double DrawComponent(Rng& rng) {
+  return rng.NextBounded(4) == 0 ? static_cast<double>(rng.NextBounded(3))
+                                 : rng.NextDouble(-0.5, 2.5);
+}
+
+// One component band: random, an endpoint at a vertex sample, zero
+// width, or wide enough to hold the whole cell.
+ValueInterval DrawComponentBand(Rng& rng, const double* samples,
+                                uint32_t n) {
+  const double vertex = samples[rng.NextBounded(n)];
+  double lo = rng.NextDouble(-0.5, 2.5);
+  double hi = rng.NextDouble(-0.5, 2.5);
+  if (lo > hi) std::swap(lo, hi);
+  switch (rng.NextBounded(5)) {
+    case 0: return {vertex, std::max(vertex, hi)};
+    case 1: return {vertex, vertex};
+    case 2: return {lo, lo};
+    case 3: return {-1.0, 3.0};
+    default: return {lo, hi};
+  }
+}
+
+VectorCellRecord DrawVectorCell(Rng& rng) {
+  VectorCellRecord cell;
+  if (rng.NextBounded(2) == 0) {
+    cell.num_vertices = 3;
+    for (int i = 0; i < 3; ++i) {
+      cell.x[i] = rng.NextDouble();
+      cell.y[i] = rng.NextDouble();
+    }
+    if (rng.NextBounded(4) == 0) {
+      // A sliver: the third vertex within a hair of line 01.
+      const double t = rng.NextDouble(-0.5, 1.5);
+      const double nudge = rng.NextDouble(1e-11, 1e-6);
+      cell.x[2] = cell.x[0] + t * (cell.x[1] - cell.x[0]) +
+                  nudge * (cell.y[0] - cell.y[1]);
+      cell.y[2] = cell.y[0] + t * (cell.y[1] - cell.y[0]) +
+                  nudge * (cell.x[1] - cell.x[0]);
+    }
+  } else {
+    cell.num_vertices = 4;
+    const Point2 lo{rng.NextDouble(-2, 2), rng.NextDouble(-2, 2)};
+    const Point2 hi = lo + Point2{rng.NextDouble(1e-6, 1.0),
+                                  rng.NextDouble(1e-6, 1.0)};
+    const Point2 corners[4] = {lo, {hi.x, lo.y}, hi, {lo.x, hi.y}};
+    for (int i = 0; i < 4; ++i) {
+      cell.x[i] = corners[i].x;
+      cell.y[i] = corners[i].y;
+    }
+  }
+  const bool flat_u = rng.NextBounded(10) == 0;
+  const double u0 = DrawComponent(rng);
+  for (uint32_t i = 0; i < cell.num_vertices; ++i) {
+    cell.u[i] = flat_u ? u0 : DrawComponent(rng);
+    cell.v[i] = DrawComponent(rng);
+  }
+  return cell;
+}
+
+TEST(VectorIsobandTest, BitIdenticalToLegacyClipOnRandomCells) {
+  Rng rng(20020326);
+  size_t pieces = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const VectorCellRecord cell = DrawVectorCell(rng);
+    const VectorBandQuery q{
+        DrawComponentBand(rng, cell.u, cell.num_vertices),
+        DrawComponentBand(rng, cell.v, cell.num_vertices)};
+    Region got, want;
+    const StatusOr<size_t> n = VectorCellIsoband(cell, q, &got);
+    const StatusOr<size_t> m = LegacyVectorCellIsoband(cell, q, &want);
+    ASSERT_EQ(n.ok(), m.ok()) << "trial " << trial;
+    if (n.ok()) {
+      ASSERT_EQ(*n, *m) << "trial " << trial;
+    }
+    legacy::ExpectSameRegion(got, want);
+    if (HasFatalFailure()) return;
+    pieces += got.NumPieces();
+  }
+  // Guard against a vacuous run: many trials must produce pieces.
+  EXPECT_GT(pieces, 5000u);
 }
 
 TEST(VectorSubfieldTest, CostModelPrefersSimilarBoxes) {

@@ -563,44 +563,49 @@ class Checker:
                               minimum=1)
         self.warn_single_threaded(report)
 
+        # Every shard count is measured in `rounds` interleaved rounds;
+        # a point's figures are its best (highest-QPS) round, with
+        # failures and admission waits summed over all rounds.
+        rounds = self.number(report, "rounds", "report", minimum=1)
         points = self.require(report, "points", list, "report")
+        best_qps = {}
+        speedups = {}
         if points is not None:
             if not points:
                 self.error("report", "'points' is empty")
-            shard_counts = []
             for j, point in enumerate(points):
                 where = f"points[{j}]"
                 if not isinstance(point, dict):
                     self.error(where, "not an object")
                     continue
                 shards = self.number(point, "shards", where, minimum=1)
-                if shards is not None:
-                    if shards in shard_counts:
-                        self.error(where, f"duplicate shard count {shards}")
-                    shard_counts.append(shards)
-                qps = self.number(point, "qps", where, minimum=0)
-                if isinstance(qps, (int, float)) and qps <= 0:
-                    self.error(where, f"qps {qps} is not positive")
-                self.number(point, "avg_wall_ms", where, minimum=0)
-                p50 = self.number(point, "p50_wall_ms", where, minimum=0)
-                p99 = self.number(point, "p99_wall_ms", where, minimum=0)
-                if p50 is not None and p99 is not None and p50 > p99:
-                    self.error(where,
-                               f"p50_wall_ms {p50} > p99_wall_ms {p99}")
+                if shards is not None and shards in best_qps:
+                    self.error(where, f"duplicate shard count {shards}")
+                qps = self.check_shard_round(point, where)
                 speedup = self.number(point, "speedup_vs_1", where)
                 if speedup is not None and speedup <= 0:
                     self.error(where,
                                f"speedup_vs_1 {speedup} is not positive")
-                frac = self.number(point, "shards_skipped_frac", where,
-                                   minimum=0)
-                if frac is not None and frac > 1:
-                    self.error(where, f"shards_skipped_frac {frac} > 1")
-                self.number(point, "admission_waits", where, minimum=0)
-                self.number(point, "failed", where, minimum=0)
-            if 1 not in shard_counts:
+                waits = self.number(point, "admission_waits", where,
+                                    minimum=0)
+                failed = self.number(point, "failed", where, minimum=0)
+                self.check_shard_rounds(point, where, rounds, qps, waits,
+                                        failed)
+                if shards is not None and qps is not None:
+                    best_qps[shards] = qps
+                    if speedup is not None:
+                        speedups[shards] = speedup
+            if 1 not in best_qps:
                 self.error("report", "missing the shards=1 baseline")
+            elif best_qps[1] > 0:
+                for shards, speedup in speedups.items():
+                    expected = best_qps[shards] / best_qps[1]
+                    if not math.isclose(speedup, expected, rel_tol=1e-6):
+                        self.error(f"shards={shards}",
+                                   f"speedup_vs_1 {speedup} != best qps "
+                                   f"ratio {expected}")
 
-        self.number(report, "speedup_target", "report", minimum=0)
+        target = self.number(report, "speedup_target", "report", minimum=0)
         # The >= 2.5x acceptance gate only binds on real multi-core
         # hardware; single-core captures record speedup_ok=true with
         # speedup_gated=false (and the warning above flags them).
@@ -615,6 +620,62 @@ class Checker:
                 and isinstance(threads, (int, float)) and threads < 4):
             self.error("report",
                        f"speedup_gated on {threads} hardware threads")
+        # A gated pass must be backed by the recorded best-of-rounds
+        # figures: some count within the hardware threads reaches it.
+        if (report.get("speedup_gated") is True
+                and report.get("speedup_ok") is True
+                and isinstance(threads, (int, float))
+                and target is not None):
+            reached = [s for n, s in speedups.items() if n <= threads]
+            if not reached or max(reached) < target:
+                self.error("report",
+                           f"speedup_ok but no shard count <= {threads} "
+                           f"reaches {target}x")
+
+    def check_shard_round(self, obj, where):
+        """Validates the per-round figures shared by a point and its
+        rounds; returns the qps (or None)."""
+        qps = self.number(obj, "qps", where, minimum=0)
+        if isinstance(qps, (int, float)) and qps <= 0:
+            self.error(where, f"qps {qps} is not positive")
+        self.number(obj, "avg_wall_ms", where, minimum=0)
+        p50 = self.number(obj, "p50_wall_ms", where, minimum=0)
+        p99 = self.number(obj, "p99_wall_ms", where, minimum=0)
+        if p50 is not None and p99 is not None and p50 > p99:
+            self.error(where, f"p50_wall_ms {p50} > p99_wall_ms {p99}")
+        frac = self.number(obj, "shards_skipped_frac", where, minimum=0)
+        if frac is not None and frac > 1:
+            self.error(where, f"shards_skipped_frac {frac} > 1")
+        return qps
+
+    def check_shard_rounds(self, point, where, rounds, qps, waits, failed):
+        entries = self.require(point, "rounds", list, where)
+        if entries is None:
+            return
+        if isinstance(rounds, int) and len(entries) != rounds:
+            self.error(where,
+                       f"{len(entries)} rounds recorded, report says {rounds}")
+        round_qps, round_waits, round_failed = [], 0, 0
+        for r, entry in enumerate(entries):
+            rwhere = f"{where}.rounds[{r}]"
+            if not isinstance(entry, dict):
+                self.error(rwhere, "not an object")
+                continue
+            value = self.check_shard_round(entry, rwhere)
+            if value is not None:
+                round_qps.append(value)
+            round_waits += self.number(entry, "admission_waits", rwhere,
+                                       minimum=0) or 0
+            round_failed += self.number(entry, "failed", rwhere,
+                                        minimum=0) or 0
+        if round_qps and qps is not None and qps != max(round_qps):
+            self.error(where, f"qps {qps} is not the best round "
+                              f"({max(round_qps)})")
+        if waits is not None and waits != round_waits:
+            self.error(where, f"admission_waits {waits} != round sum "
+                              f"{round_waits}")
+        if failed is not None and failed != round_failed:
+            self.error(where, f"failed {failed} != round sum {round_failed}")
 
     def check_series(self, ser, where):
         if not isinstance(ser, dict):
