@@ -20,7 +20,8 @@
 // true; schema enforced by tools/check_bench_json.py) and fails the
 // run if the measured overhead reaches 5%.
 //
-// --quick shrinks the terrain and rep count for the CTest smoke run.
+// --quick shrinks the terrain and query count for the CTest smoke run
+// and takes more (cheaper) reps.
 
 #include <algorithm>
 #include <cstdio>
@@ -241,7 +242,10 @@ int main(int argc, char** argv) {
     return 1000.0 * static_cast<double>(t1 - t0) / CLOCKS_PER_SEC;
   };
 
-  const int reps = quick ? 5 : 15;
+  // A quick rep is ~15 ms of CPU per side, so one scheduler hiccup moves
+  // its ratio by several percent; 41 reps keep the median clear of the
+  // 5% gate on a shared host (5 and 15 reps each failed runs there).
+  const int reps = quick ? 41 : 15;
   std::vector<double> ratios;
   double off_total_ms = 0.0, on_total_ms = 0.0;
   for (int rep = 0; rep < reps; ++rep) {

@@ -9,8 +9,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
 
+#include "core/catalog.h"
 #include "obs/metrics.h"
 
 namespace fielddb {
@@ -46,25 +48,12 @@ uint32_t PeekPagesEpoch(const std::string& path) {
   return epoch;
 }
 
-Status WriteCatalogFile(const std::string& path,
-                        const std::function<bool(std::FILE*)>& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::IOError("cannot write " + path);
-  bool ok = body(f);
-  // Make the catalog durable before it can become a rename target.
-  ok = ok && std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  std::fclose(f);
-  return ok ? Status::OK() : Status::IOError("flush failed for " + path);
-}
-
-bool TryCompleteInterruptedSave(
-    const std::string& prefix,
-    const std::function<StatusOr<uint32_t>(const std::string& path)>&
-        catalog_epoch) {
-  const StatusOr<uint32_t> tmp = catalog_epoch(prefix + ".meta.tmp");
+bool TryCompleteInterruptedSave(const std::string& prefix,
+                                std::string_view magic) {
+  const StatusOr<uint32_t> tmp = ReadCatalogEpoch(prefix + ".meta.tmp", magic);
   if (!tmp.ok() || *tmp == 0) return false;
   if (PeekPagesEpoch(prefix + ".pages") != *tmp) return false;
-  const StatusOr<uint32_t> current = catalog_epoch(prefix + ".meta");
+  const StatusOr<uint32_t> current = ReadCatalogEpoch(prefix + ".meta", magic);
   if (current.ok() && *current + 1 != *tmp) return false;
   const std::string meta_path = prefix + ".meta";
   if (!RenameFile(prefix + ".meta.tmp", meta_path).ok()) return false;

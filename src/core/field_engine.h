@@ -2,10 +2,10 @@
 #define FIELDDB_CORE_FIELD_ENGINE_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -51,25 +51,17 @@ void SyncParentDir(const std::string& path);
 /// snapshot uses (Save stamps epoch + 1 >= 1).
 uint32_t PeekPagesEpoch(const std::string& path);
 
-/// Writes a text catalog at `path` through `body`, then makes it durable
-/// (fflush + fsync) before it can become a rename target. `body` returns
-/// false on a formatting failure.
-Status WriteCatalogFile(const std::string& path,
-                        const std::function<bool(std::FILE*)>& body);
-
 /// Completes a save that crashed between its two renames: `.pages`
 /// already holds the next snapshot but `.meta` still describes the
-/// previous one. The signature is unforgeable — `.meta.tmp` parses (via
-/// the caller's `catalog_epoch`), its epoch is exactly one past the
-/// current catalog's (or there is no catalog at all: a first save), and
-/// the page file is stamped with precisely that epoch (a leftover
-/// `.meta.tmp` from a crash *before* the renames fails this check
-/// because `.pages` kept the old stamp). Returns true when `.meta.tmp`
-/// was promoted to `.meta`; the caller re-reads the catalog then.
-bool TryCompleteInterruptedSave(
-    const std::string& prefix,
-    const std::function<StatusOr<uint32_t>(const std::string& path)>&
-        catalog_epoch);
+/// previous one. The signature is unforgeable — `.meta.tmp`'s epoch
+/// (ReadCatalogEpoch under `magic`) is exactly one past the current
+/// catalog's (or there is no catalog at all: a first save), and the page
+/// file is stamped with precisely that epoch (a leftover `.meta.tmp` from
+/// a crash *before* the renames fails this check because `.pages` kept
+/// the old stamp). Returns true when `.meta.tmp` was promoted to `.meta`;
+/// the caller's Open then parses and validates it in full.
+bool TryCompleteInterruptedSave(const std::string& prefix,
+                                std::string_view magic);
 
 /// What recovery did during an engine-hosted Open (all zero for a clean
 /// open with no log). `trace` holds a "recovery" span with wal.scan /

@@ -5,12 +5,12 @@
 // every component (cell store, value index, spatial tree) against the
 // on-disk pages.
 
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
+#include <optional>
+#include <span>
 #include <string>
 
+#include "core/catalog.h"
 #include "core/field_database.h"
 #include "core/field_engine.h"
 
@@ -21,178 +21,68 @@ namespace {
 // v2 bumped for the per-page [crc | epoch | page id] header framing and
 // the catalog's `epoch` key; v1 files have no page headers and cannot be
 // verified, so they are rejected rather than trusted.
-constexpr const char* kMagic = "fielddb-meta-v2";
+constexpr CatalogKind kGridCatalog{"fielddb-meta-v2",
+                                   static_cast<int>(IndexMethod::kRowIp)};
 constexpr const char* kMagicV1 = "fielddb-meta-v1";
 
 struct MetaData {
-  uint32_t page_size = 0;
-  uint32_t epoch = 0;
-  int method = 0;
-  uint64_t num_cells = 0;
-  PageId store_first_page = 0;
+  StoreHeader header;
   ValueInterval value_range;
   Rect2 domain;
-  bool has_tree = false;
-  RStarMeta tree;
-  bool has_spatial = false;
-  RStarMeta spatial;
-  IndexBuildInfo info;
-  std::vector<Subfield> subfields;
-  uint64_t declared_subfields = 0;
+  uint64_t build_entries = 0;
+  std::optional<RStarMeta> spatial;
+  SubfieldTable subfields;
 };
 
-void WriteRStarMeta(std::FILE* f, const char* key, const RStarMeta& m) {
-  std::fprintf(f, "%s %" PRIu64 " %u %" PRIu64 " %" PRIu64 "\n", key,
-               m.root, m.height, m.size, m.num_nodes);
-}
-
-Status WriteMeta(const std::string& path, const MetaData& meta) {
-  return WriteCatalogFile(path, [&](std::FILE* f) {
-  std::fprintf(f, "%s\n", kMagic);
-  std::fprintf(f, "page_size %u\n", meta.page_size);
-  std::fprintf(f, "epoch %u\n", meta.epoch);
-  std::fprintf(f, "method %d\n", meta.method);
-  std::fprintf(f, "num_cells %" PRIu64 "\n", meta.num_cells);
-  std::fprintf(f, "store_first_page %" PRIu64 "\n", meta.store_first_page);
-  std::fprintf(f, "value_range %.17g %.17g\n", meta.value_range.min,
-               meta.value_range.max);
-  std::fprintf(f, "domain %.17g %.17g %.17g %.17g\n", meta.domain.lo.x,
-               meta.domain.lo.y, meta.domain.hi.x, meta.domain.hi.y);
-  std::fprintf(f, "build_entries %" PRIu64 "\n",
-               meta.info.num_index_entries);
-  if (meta.has_tree) WriteRStarMeta(f, "tree", meta.tree);
-  if (meta.has_spatial) WriteRStarMeta(f, "spatial", meta.spatial);
-  std::fprintf(f, "subfields %zu\n", meta.subfields.size());
-  for (const Subfield& sf : meta.subfields) {
-    std::fprintf(f, "sf %" PRIu64 " %" PRIu64 " %.17g %.17g %.17g\n",
-                 sf.start, sf.end, sf.interval.min, sf.interval.max,
-                 sf.sum_interval_sizes);
-  }
-    return true;
-  });
-}
-
-/// Numeric-range validation after parsing. The parser only proves the
-/// catalog is well-formed text; this proves the values can be acted on
-/// without feeding garbage (zero page sizes, NaN ranges, inverted
-/// subfields) into the storage layer. kCorruption names the bad key.
-Status ValidateMeta(const MetaData& meta, const std::string& path) {
-  const auto bad = [&](const char* key) {
-    return Status::Corruption("catalog " + path + ": invalid value for '" +
-                              key + "'");
-  };
-  if (meta.page_size == 0 || meta.page_size > (1u << 26)) {
-    return bad("page_size");
-  }
-  if (meta.method < 0 ||
-      meta.method > static_cast<int>(IndexMethod::kRowIp)) {
-    return bad("method");
-  }
-  if (!std::isfinite(meta.value_range.min) ||
-      !std::isfinite(meta.value_range.max) ||
-      meta.value_range.min > meta.value_range.max) {
-    return bad("value_range");
-  }
-  if (!std::isfinite(meta.domain.lo.x) || !std::isfinite(meta.domain.lo.y) ||
-      !std::isfinite(meta.domain.hi.x) || !std::isfinite(meta.domain.hi.y)) {
-    return bad("domain");
-  }
-  if (meta.declared_subfields != meta.subfields.size()) {
-    return bad("subfields");
-  }
-  for (const Subfield& sf : meta.subfields) {
-    if (sf.start > sf.end || sf.end > meta.num_cells) return bad("sf");
-    if (!std::isfinite(sf.interval.min) || !std::isfinite(sf.interval.max) ||
-        sf.interval.min > sf.interval.max ||
-        !std::isfinite(sf.sum_interval_sizes)) {
-      return bad("sf");
-    }
-  }
-  return Status::OK();
-}
-
+/// Parses and range-validates the catalog: the parser proves it is
+/// well-formed text, validation that the values can be acted on without
+/// feeding garbage (zero page sizes, NaN ranges, inverted subfields) into
+/// the storage layer. kCorruption names the bad key.
 StatusOr<MetaData> ReadMeta(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return Status::IOError("cannot read " + path);
-  MetaData meta;
-  char magic[64] = {};
-  if (std::fscanf(f, "%63s", magic) != 1) {
-    std::fclose(f);
-    return Status::Corruption("bad magic in " + path);
-  }
-  if (std::string(magic) == kMagicV1) {
-    std::fclose(f);
+  CatalogReader r(path);
+  const Status loaded = r.Load(kGridCatalog.magic);
+  if (!loaded.ok() && r.magic() == kMagicV1) {
     return Status::Corruption(
         "unsupported v1 catalog (no page checksums) in " + path +
         "; re-save with this version");
   }
-  if (std::string(magic) != kMagic) {
-    std::fclose(f);
-    return Status::Corruption("bad magic in " + path);
-  }
-  char key[64];
-  bool ok = true;
-  while (ok && std::fscanf(f, "%63s", key) == 1) {
-    const std::string k = key;
-    if (k == "page_size") {
-      ok = std::fscanf(f, "%u", &meta.page_size) == 1;
-    } else if (k == "epoch") {
-      ok = std::fscanf(f, "%u", &meta.epoch) == 1;
-    } else if (k == "method") {
-      ok = std::fscanf(f, "%d", &meta.method) == 1;
-    } else if (k == "num_cells") {
-      ok = std::fscanf(f, "%" SCNu64, &meta.num_cells) == 1;
-    } else if (k == "store_first_page") {
-      ok = std::fscanf(f, "%" SCNu64, &meta.store_first_page) == 1;
-    } else if (k == "value_range") {
-      ok = std::fscanf(f, "%lg %lg", &meta.value_range.min,
-                       &meta.value_range.max) == 2;
+  FIELDDB_RETURN_IF_ERROR(loaded);
+  MetaData meta;
+  while (r.NextKey()) {
+    if (ReadHeaderKey(&r, kGridCatalog, &meta.header) ||
+        ReadSubfieldKey(&r, "sf", &meta.subfields)) {
+      continue;
+    }
+    const std::string_view k = r.key();
+    if (k == "value_range") {
+      r.Read(&meta.value_range.min, &meta.value_range.max);
     } else if (k == "domain") {
-      ok = std::fscanf(f, "%lg %lg %lg %lg", &meta.domain.lo.x,
-                       &meta.domain.lo.y, &meta.domain.hi.x,
-                       &meta.domain.hi.y) == 4;
+      r.Read(&meta.domain.lo.x, &meta.domain.lo.y, &meta.domain.hi.x,
+             &meta.domain.hi.y);
     } else if (k == "build_entries") {
-      ok = std::fscanf(f, "%" SCNu64, &meta.info.num_index_entries) == 1;
-    } else if (k == "tree" || k == "spatial") {
-      RStarMeta m;
-      ok = std::fscanf(f, "%" SCNu64 " %u %" SCNu64 " %" SCNu64, &m.root,
-                       &m.height, &m.size, &m.num_nodes) == 4;
-      if (k == "tree") {
-        meta.tree = m;
-        meta.has_tree = true;
-      } else {
-        meta.spatial = m;
-        meta.has_spatial = true;
-      }
-    } else if (k == "subfields") {
-      ok = std::fscanf(f, "%" SCNu64, &meta.declared_subfields) == 1;
-      // Bound the reserve: a corrupt count must not become an
-      // allocation bomb. The mismatch is caught by ValidateMeta.
-      if (ok && meta.declared_subfields <= (uint64_t{1} << 24)) {
-        meta.subfields.reserve(meta.declared_subfields);
-      }
-    } else if (k == "sf") {
-      Subfield sf;
-      ok = std::fscanf(f, "%" SCNu64 " %" SCNu64 " %lg %lg %lg", &sf.start,
-                       &sf.end, &sf.interval.min, &sf.interval.max,
-                       &sf.sum_interval_sizes) == 5;
-      meta.subfields.push_back(sf);
+      r.Read(&meta.build_entries);
+    } else if (k == "spatial") {
+      r.Read(&meta.spatial.emplace());
     } else {
-      ok = false;
+      r.FailUnknownKey();
     }
   }
-  std::fclose(f);
-  if (!ok) return Status::Corruption("malformed catalog " + path);
-  FIELDDB_RETURN_IF_ERROR(ValidateMeta(meta, path));
+  CheckHeader(&r, kGridCatalog, meta.header);
+  r.Check(FiniteInterval(meta.value_range), "value_range");
+  r.Check(std::isfinite(meta.domain.lo.x) && std::isfinite(meta.domain.lo.y) &&
+              std::isfinite(meta.domain.hi.x) &&
+              std::isfinite(meta.domain.hi.y),
+          "domain");
+  r.Check(meta.subfields.declared == meta.subfields.rows.size(), "subfields");
+  CheckSubfieldRows(&r, "sf", meta.subfields.rows, meta.header.num_cells);
+  FIELDDB_RETURN_IF_ERROR(r.status());
   return meta;
 }
 
 }  // namespace
 
 StatusOr<uint32_t> FieldDatabase::PeekEpoch(const std::string& prefix) {
-  StatusOr<MetaData> meta = ReadMeta(prefix + ".meta");
-  if (!meta.ok()) return meta.status();
-  return meta->epoch;
+  return ReadCatalogEpoch(prefix + ".meta", kGridCatalog.magic);
 }
 
 Status FieldDatabase::Save(const std::string& prefix) {
@@ -215,36 +105,31 @@ Status FieldDatabase::SaveImpl(const std::string& prefix,
   return engine_.SaveSnapshot(
       prefix, crash_point,
       [&](const std::string& meta_tmp_path, uint32_t new_epoch) -> Status {
-        MetaData meta;
-        meta.page_size = engine_.file()->page_size();
-        meta.epoch = new_epoch;
-        meta.method = static_cast<int>(index_->method());
-        meta.num_cells = index_->cell_store().size();
-        meta.store_first_page = index_->cell_store().first_page();
-        meta.value_range = value_range_;
-        meta.domain = domain_;
-        meta.info = index_->build_info();
+        StoreHeader header{
+            .page_size = engine_.file()->page_size(),
+            .epoch = new_epoch,
+            .method = static_cast<int>(index_->method()),
+            .num_cells = index_->cell_store().size(),
+            .store_first_page = index_->cell_store().first_page()};
+        std::span<const Subfield> subfields;
         switch (index_->method()) {
           case IndexMethod::kLinearScan:
             break;
           case IndexMethod::kIAll:
-            meta.has_tree = true;
-            meta.tree =
+            header.tree =
                 static_cast<const IAllIndex*>(index_.get())->tree().meta();
             break;
           case IndexMethod::kIHilbert: {
             const auto* idx = static_cast<const IHilbertIndex*>(index_.get());
-            meta.has_tree = true;
-            meta.tree = idx->tree().meta();
-            meta.subfields = idx->subfields();
+            header.tree = idx->tree().meta();
+            subfields = idx->subfields();
             break;
           }
           case IndexMethod::kIntervalQuadtree: {
             const auto* idx =
                 static_cast<const IntervalQuadtreeIndex*>(index_.get());
-            meta.has_tree = true;
-            meta.tree = idx->tree().meta();
-            meta.subfields = idx->subfields();
+            header.tree = idx->tree().meta();
+            subfields = idx->subfields();
             break;
           }
           case IndexMethod::kRowIp:
@@ -252,11 +137,15 @@ Status FieldDatabase::SaveImpl(const std::string& prefix,
                 "Row-IP is a comparison baseline without persistence "
                 "support");
         }
-        if (spatial_.has_value()) {
-          meta.has_spatial = true;
-          meta.spatial = spatial_->meta();
-        }
-        return WriteMeta(meta_tmp_path, meta);
+        CatalogWriter w = BeginFieldCatalog(kGridCatalog, header);
+        w.Line("value_range", value_range_.min, value_range_.max);
+        w.Line("domain", domain_.lo.x, domain_.lo.y, domain_.hi.x,
+               domain_.hi.y);
+        w.Line("build_entries", index_->build_info().num_index_entries);
+        if (header.tree) w.Line("tree", *header.tree);
+        if (spatial_.has_value()) w.Line("spatial", spatial_->meta());
+        WriteSubfields(&w, "sf", subfields);
+        return w.Commit(meta_tmp_path);
       });
 }
 
@@ -274,87 +163,77 @@ StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Open(
   // Self-heal a save that crashed between its two renames (see
   // TryCompleteInterruptedSave): `.pages` already holds the next
   // snapshot but `.meta` still describes the previous one.
-  TryCompleteInterruptedSave(
-      prefix, [](const std::string& path) -> StatusOr<uint32_t> {
-        StatusOr<MetaData> m = ReadMeta(path);
-        if (!m.ok()) return m.status();
-        return m->epoch;
-      });
+  TryCompleteInterruptedSave(prefix, kGridCatalog.magic);
 
   StatusOr<MetaData> meta = ReadMeta(meta_path);
   if (!meta.ok()) return meta.status();
 
+  const StoreHeader& header = meta->header;
   auto db = std::unique_ptr<FieldDatabase>(new FieldDatabase());
   FIELDDB_RETURN_IF_ERROR(
-      db->engine_.InitForOpen(prefix, meta->page_size, meta->epoch,
+      db->engine_.InitForOpen(prefix, header.page_size, header.epoch,
                               options.pool_pages, options.readahead_pages));
 
   // Page-range validation against the actual file: a truncated or
-  // mismatched page file must not turn into out-of-range reads later.
+  // mismatched page file must not turn into out-of-range reads or
+  // catalog-sized allocations later.
   const uint64_t num_pages = db->engine_.file()->NumPages();
-  if (meta->num_cells > 0 && meta->store_first_page >= num_pages) {
-    return Status::Corruption("catalog " + prefix +
-                              ".meta: invalid value for 'store_first_page'");
-  }
-  if (meta->has_tree && meta->tree.root >= num_pages) {
-    return Status::Corruption("catalog " + prefix +
-                              ".meta: invalid value for 'tree'");
-  }
-  if (meta->has_spatial && meta->spatial.root >= num_pages) {
-    return Status::Corruption("catalog " + prefix +
-                              ".meta: invalid value for 'spatial'");
-  }
+  const IndexMethod method = static_cast<IndexMethod>(header.method);
+  FIELDDB_RETURN_IF_ERROR(CheckStorePages(
+      meta_path, "store_first_page", header.store_first_page,
+      header.num_cells, header.page_size, sizeof(CellRecord), num_pages));
+  FIELDDB_RETURN_IF_ERROR(CheckTree(meta_path, "tree", header.tree,
+                                    method != IndexMethod::kLinearScan,
+                                    num_pages));
+  FIELDDB_RETURN_IF_ERROR(
+      CheckTree(meta_path, "spatial", meta->spatial, false, num_pages));
 
   BufferPool* const pool = db->engine_.pool();
   db->value_range_ = meta->value_range;
   db->domain_ = meta->domain;
 
   StatusOr<CellStore> store =
-      CellStore::Attach(pool, meta->store_first_page, meta->num_cells);
+      CellStore::Attach(pool, header.store_first_page, header.num_cells);
   if (!store.ok()) return store.status();
 
   IndexBuildInfo info;
-  info.num_cells = meta->num_cells;
-  info.num_index_entries = meta->info.num_index_entries;
-  info.num_subfields = meta->subfields.size();
+  info.num_cells = header.num_cells;
+  info.num_index_entries = meta->build_entries;
+  info.num_subfields = meta->subfields.rows.size();
   info.store_pages = store->num_pages();
-  info.tree_height = meta->has_tree ? meta->tree.height : 0;
-  info.tree_nodes = meta->has_tree ? meta->tree.num_nodes : 0;
+  info.tree_height = header.tree ? header.tree->height : 0;
+  info.tree_nodes = header.tree ? header.tree->num_nodes : 0;
 
-  const IndexMethod method = static_cast<IndexMethod>(meta->method);
   switch (method) {
     case IndexMethod::kLinearScan:
       db->index_ =
           LinearScanIndex::Attach(std::move(store).value(), info);
       break;
     case IndexMethod::kIAll: {
-      if (!meta->has_tree) return Status::Corruption("missing tree meta");
       db->index_ = IAllIndex::Attach(
           std::move(store).value(),
-          RStarTree<1>::Attach(pool, meta->tree), info);
+          RStarTree<1>::Attach(pool, *header.tree), info);
       break;
     }
     case IndexMethod::kIHilbert: {
-      if (!meta->has_tree) return Status::Corruption("missing tree meta");
       db->index_ = IHilbertIndex::Attach(
           std::move(store).value(),
-          RStarTree<1>::Attach(pool, meta->tree),
-          std::move(meta->subfields), info);
+          RStarTree<1>::Attach(pool, *header.tree),
+          std::move(meta->subfields.rows), info);
       break;
     }
     case IndexMethod::kIntervalQuadtree: {
-      if (!meta->has_tree) return Status::Corruption("missing tree meta");
       db->index_ = IntervalQuadtreeIndex::Attach(
           std::move(store).value(),
-          RStarTree<1>::Attach(pool, meta->tree),
-          std::move(meta->subfields), info);
+          RStarTree<1>::Attach(pool, *header.tree),
+          std::move(meta->subfields.rows), info);
       break;
     }
     default:
       return Status::Corruption("unknown index method in catalog");
   }
-  if (meta->has_spatial) {
-    db->spatial_.emplace(RStarTree<2>::Attach(pool, meta->spatial));
+  if (meta->spatial) {
+    db->spatial_.emplace(RStarTree<2>::Attach(pool, *meta->spatial));
   }
   // Planning is a pure function of the attached index state, so a
   // reopened snapshot plans exactly like the database that saved it.

@@ -6,10 +6,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
+#include <string>
 #include <utility>
 
+#include "core/catalog.h"
 #include "core/field_engine.h"
 #include "obs/metrics.h"
 
@@ -44,6 +44,56 @@ class Latch {
   std::condition_variable cv_;
   size_t remaining_;
 };
+
+/// Parses the router catalog: magic, `shards S`, `num_cells N`, then per
+/// shard `shard k cells key_begin key_end` and its id line. Every count
+/// is bounded by the values the rest of the file can still hold before
+/// anything is sized from it, the per-shard counts must sum to N, and
+/// the ids must be a permutation of [0, N).
+StatusOr<std::vector<ShardDescriptor>> ReadRouterCatalog(
+    const std::string& path) {
+  CatalogReader r(path);
+  const Status loaded = r.Load(kRouterMagic);
+  if (loaded.code() == StatusCode::kIOError) {
+    return Status::NotFound("no router catalog at " + path);
+  }
+  FIELDDB_RETURN_IF_ERROR(loaded);
+  uint64_t num_shards = 0;
+  uint64_t num_cells = 0;
+  // A shard takes at least its 5-value header and one id.
+  r.Expect("shards", &num_shards);
+  r.Check(num_shards > 0 && num_shards <= (uint64_t{1} << 16) &&
+              num_shards <= r.values_left() / 6,
+          "shards");
+  r.Expect("num_cells", &num_cells);
+  r.Check(num_cells > 0 && num_cells <= r.values_left(), "num_cells");
+  FIELDDB_RETURN_IF_ERROR(r.status());
+  std::vector<ShardDescriptor> shards(num_shards);
+  std::vector<bool> seen(num_cells, false);
+  uint64_t total = 0;
+  for (uint64_t k = 0; k < num_shards; ++k) {
+    ShardDescriptor& d = shards[k];
+    uint64_t cells = 0;
+    if (!r.Expect("shard", &d.id, &cells, &d.key_begin, &d.key_end) ||
+        !r.Check(d.id == k && cells > 0 && cells <= num_cells - total &&
+                     cells <= r.values_left(),
+                 "shard")) {
+      return r.status();
+    }
+    total += cells;
+    d.local_to_global.resize(cells);
+    for (CellId& gid : d.local_to_global) {
+      if (!r.Read(&gid) || !r.Check(gid < num_cells && !seen[gid], "shard")) {
+        return r.status();
+      }
+      seen[gid] = true;
+    }
+  }
+  r.Check(total == num_cells, "num_cells");
+  if (r.NextKey()) r.FailUnknownKey();
+  FIELDDB_RETURN_IF_ERROR(r.status());
+  return shards;
+}
 
 double MsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -174,32 +224,17 @@ Status ShardRouter::Save(const std::string& prefix) {
   // the same build — written last so a crash anywhere above leaves the
   // previous catalog describing shards that all still open (each at
   // its own epoch, each with its own WAL bridging its gap).
+  CatalogWriter w(kRouterMagic);
+  w.Line("shards", static_cast<uint64_t>(shards_.size()));
+  w.Line("num_cells", static_cast<uint64_t>(global_map_.size()));
+  for (const auto& shard : shards_) {
+    const ShardDescriptor& d = shard->descriptor();
+    w.Line("shard", d.id, d.num_cells(), d.key_begin, d.key_end);
+    w.IdLine(d.local_to_global);
+  }
   const std::string tmp = prefix + ".router.tmp";
-  const Status w = WriteCatalogFile(tmp, [this](std::FILE* f) {
-    if (std::fprintf(f, "%s\n", kRouterMagic) < 0) return false;
-    if (std::fprintf(f, "shards %zu\n", shards_.size()) < 0) return false;
-    if (std::fprintf(f, "num_cells %" PRIu64 "\n",
-                     static_cast<uint64_t>(global_map_.size())) < 0) {
-      return false;
-    }
-    for (const auto& shard : shards_) {
-      const ShardDescriptor& d = shard->descriptor();
-      if (std::fprintf(f, "shard %u %" PRIu64 " %" PRIu64 " %" PRIu64 "\n",
-                       d.id, d.num_cells(), d.key_begin, d.key_end) < 0) {
-        return false;
-      }
-      for (size_t i = 0; i < d.local_to_global.size(); ++i) {
-        if (std::fprintf(f, i + 1 == d.local_to_global.size() ? "%u\n" : "%u ",
-                         d.local_to_global[i]) < 0) {
-          return false;
-        }
-      }
-    }
-    return true;
-  });
-  if (!w.ok()) return w;
-  const Status r = RenameFile(tmp, prefix + ".router");
-  if (!r.ok()) return r;
+  FIELDDB_RETURN_IF_ERROR(w.Commit(tmp));
+  FIELDDB_RETURN_IF_ERROR(RenameFile(tmp, prefix + ".router"));
   SyncParentDir(prefix + ".router");
   return Status::OK();
 }
@@ -207,62 +242,9 @@ Status ShardRouter::Save(const std::string& prefix) {
 StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
     const std::string& prefix, const OpenOptions& options) {
   const std::string path = prefix + ".router";
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return Status::NotFound("no router catalog at " + path);
-
-  const auto bad = [&](const std::string& what) {
-    std::fclose(f);
-    return Status::Corruption("router catalog " + path + ": " + what);
-  };
-
-  char magic[64];
-  if (std::fscanf(f, "%63s", magic) != 1 ||
-      std::string(magic) != kRouterMagic) {
-    return bad("bad magic");
-  }
-  char key[64];
-  uint64_t num_shards = 0;
-  uint64_t num_cells = 0;
-  if (std::fscanf(f, "%63s %" SCNu64, key, &num_shards) != 2 ||
-      std::string(key) != "shards" || num_shards == 0 ||
-      num_shards > (uint64_t{1} << 16)) {
-    return bad("bad shard count");
-  }
-  if (std::fscanf(f, "%63s %" SCNu64, key, &num_cells) != 2 ||
-      std::string(key) != "num_cells" || num_cells == 0) {
-    return bad("bad cell count");
-  }
-
-  struct ParsedShard {
-    ShardDescriptor desc;
-  };
-  std::vector<ParsedShard> parsed(num_shards);
-  std::vector<bool> seen(num_cells, false);
-  uint64_t total = 0;
-  for (uint64_t k = 0; k < num_shards; ++k) {
-    uint32_t id = 0;
-    uint64_t cells = 0;
-    ShardDescriptor& d = parsed[k].desc;
-    if (std::fscanf(f, "%63s %u %" SCNu64 " %" SCNu64 " %" SCNu64, key, &id,
-                    &cells, &d.key_begin, &d.key_end) != 5 ||
-        std::string(key) != "shard" || id != k || cells == 0) {
-      return bad("bad shard header");
-    }
-    d.id = id;
-    d.local_to_global.resize(cells);
-    for (uint64_t i = 0; i < cells; ++i) {
-      uint32_t gid = 0;
-      if (std::fscanf(f, "%u", &gid) != 1 || gid >= num_cells ||
-          seen[gid]) {
-        return bad("id map is not a permutation");
-      }
-      seen[gid] = true;
-      d.local_to_global[i] = gid;
-    }
-    total += cells;
-  }
-  std::fclose(f);
-  if (total != num_cells) return Status::Corruption("router catalog " + path + ": cell counts disagree");
+  StatusOr<std::vector<ShardDescriptor>> parsed = ReadRouterCatalog(path);
+  if (!parsed.ok()) return parsed.status();
+  const size_t num_shards = parsed->size();
 
   std::unique_ptr<ShardRouter> router(new ShardRouter());
   RouterRecoveryReport report;
@@ -281,8 +263,14 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
     report.torn_bytes += shard_report.torn_bytes;
     if (shard_report.frames_replayed > 0) ++report.shards_with_replay;
     report.per_shard.push_back(std::move(shard_report));
+    ShardDescriptor& d = (*parsed)[k];
+    if ((*db)->index().cell_store().size() != d.num_cells()) {
+      return Status::Corruption("router catalog " + path + ": shard " +
+                                std::to_string(k) +
+                                " cell count disagrees with its database");
+    }
     router->shards_.push_back(std::make_unique<Shard>(
-        std::move(parsed[k].desc), std::move(*db), options.lane_threads,
+        std::move(d), std::move(*db), options.lane_threads,
         options.lane_queue_capacity));
   }
   router->domain_ = router->shards_.front()->db().domain();

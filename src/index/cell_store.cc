@@ -87,6 +87,8 @@ StatusOr<CellStore> CellStore::Attach(BufferPool* pool, PageId first_page,
   // map and the zone map.
   FIELDDB_RETURN_IF_ERROR(store.ScanWith(
       0, num_cells, [&](uint64_t pos, const CellRecord& cell) {
+        // A record no Build wrote ends the scan (the id check fails).
+        if (cell.num_vertices > 4) return false;
         if (cell.id < num_cells) store.position_of_[cell.id] = pos;
         const ValueInterval iv = cell.Interval();
         store.zone_min_[pos] = iv.min;

@@ -31,11 +31,13 @@ class Page {
   /// Copies `n` bytes from `src` into the page at `offset`.
   /// The caller must ensure offset + n <= size().
   void Write(uint32_t offset, const void* src, uint32_t n) {
+    if (n == 0) return;  // an empty vector's data() may be null
     std::memcpy(data_.data() + offset, src, n);
   }
 
   /// Copies `n` bytes from the page at `offset` into `dst`.
   void Read(uint32_t offset, void* dst, uint32_t n) const {
+    if (n == 0) return;  // an empty vector's data() may be null
     std::memcpy(dst, data_.data() + offset, n);
   }
 

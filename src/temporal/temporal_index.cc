@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
+#include <string_view>
 
 #include "common/geometry.h"
+#include "core/catalog.h"
 #include "core/ext_sort.h"
 #include "field/isoband.h"
 #include "index/subfield_maintenance.h"
@@ -39,148 +39,54 @@ ValueInterval SlabInterval(const VectorCellRecord& rec) {
   return iv;
 }
 
-constexpr const char* kTemporalMagic = "fielddb-temporal-meta-v1";
+constexpr CatalogKind kTemporalCatalog{"fielddb-temporal-meta-v1", 0,
+                                       /*slabbed=*/true};
 
 struct TemporalMetaData {
-  uint32_t page_size = 0;
-  uint32_t epoch = 0;
-  uint32_t num_slabs = 0;
-  uint64_t num_cells = 0;
-  bool has_tree = false;
-  RStarMeta tree;
-  std::vector<PageId> slab_first_pages;        // index = slab k
-  std::vector<char> slab_seen;                 // parse bookkeeping
+  StoreHeader header;
+  std::vector<PageId> slab_first_pages;  // index = slab k
   std::vector<std::vector<Subfield>> slab_subfields;
-  uint64_t declared_subfields = 0;
-  uint64_t parsed_subfields = 0;
 };
 
-Status WriteTemporalMeta(const std::string& path,
-                         const TemporalMetaData& meta) {
-  return WriteCatalogFile(path, [&](std::FILE* f) {
-    std::fprintf(f, "%s\n", kTemporalMagic);
-    std::fprintf(f, "page_size %u\n", meta.page_size);
-    std::fprintf(f, "epoch %u\n", meta.epoch);
-    std::fprintf(f, "num_slabs %u\n", meta.num_slabs);
-    std::fprintf(f, "num_cells %" PRIu64 "\n", meta.num_cells);
-    if (meta.has_tree) {
-      std::fprintf(f, "tree %" PRIu64 " %u %" PRIu64 " %" PRIu64 "\n",
-                   meta.tree.root, meta.tree.height, meta.tree.size,
-                   meta.tree.num_nodes);
-    }
-    for (uint32_t k = 0; k < meta.num_slabs; ++k) {
-      std::fprintf(f, "slab %u %" PRIu64 "\n", k,
-                   meta.slab_first_pages[k]);
-    }
-    uint64_t total = 0;
-    for (const auto& sfs : meta.slab_subfields) total += sfs.size();
-    std::fprintf(f, "subfields %" PRIu64 "\n", total);
-    for (uint32_t k = 0; k < meta.num_slabs; ++k) {
-      for (const Subfield& sf : meta.slab_subfields[k]) {
-        std::fprintf(f, "tsf %u %" PRIu64 " %" PRIu64 " %.17g %.17g %.17g\n",
-                     k, sf.start, sf.end, sf.interval.min, sf.interval.max,
-                     sf.sum_interval_sizes);
-      }
-    }
-    return true;
-  });
-}
-
-Status ValidateTemporalMeta(const TemporalMetaData& meta,
-                            const std::string& path) {
-  const auto bad = [&](const char* key) {
-    return Status::Corruption("catalog " + path + ": invalid value for '" +
-                              key + "'");
-  };
-  if (meta.page_size == 0 || meta.page_size > (1u << 26)) {
-    return bad("page_size");
-  }
-  if (meta.num_slabs > (1u << 20)) return bad("num_slabs");
-  for (uint32_t k = 0; k < meta.num_slabs; ++k) {
-    if (!meta.slab_seen[k]) return bad("slab");
-  }
-  if (meta.declared_subfields != meta.parsed_subfields) {
-    return bad("subfields");
-  }
-  for (const auto& sfs : meta.slab_subfields) {
-    for (const Subfield& sf : sfs) {
-      if (sf.start > sf.end || sf.end > meta.num_cells) return bad("tsf");
-      if (!std::isfinite(sf.interval.min) ||
-          !std::isfinite(sf.interval.max) ||
-          sf.interval.min > sf.interval.max) {
-        return bad("tsf");
-      }
-      if (!std::isfinite(sf.sum_interval_sizes)) return bad("tsf");
-    }
-  }
-  if (!meta.has_tree) {
-    return Status::Corruption("catalog " + path + ": missing tree meta");
-  }
-  return Status::OK();
-}
-
 StatusOr<TemporalMetaData> ReadTemporalMeta(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return Status::IOError("cannot read " + path);
+  CatalogReader r(path);
+  FIELDDB_RETURN_IF_ERROR(r.Load(kTemporalCatalog.magic));
   TemporalMetaData meta;
-  char magic[64] = {};
-  if (std::fscanf(f, "%63s", magic) != 1 ||
-      std::string(magic) != kTemporalMagic) {
-    std::fclose(f);
-    return Status::Corruption("bad magic in " + path);
-  }
-  char key[64];
-  bool ok = true;
-  while (ok && std::fscanf(f, "%63s", key) == 1) {
-    const std::string k = key;
-    if (k == "page_size") {
-      ok = std::fscanf(f, "%u", &meta.page_size) == 1;
-    } else if (k == "epoch") {
-      ok = std::fscanf(f, "%u", &meta.epoch) == 1;
-    } else if (k == "num_slabs") {
-      ok = std::fscanf(f, "%u", &meta.num_slabs) == 1;
-      if (ok && meta.num_slabs <= (1u << 20)) {
-        meta.slab_first_pages.assign(meta.num_slabs, 0);
-        meta.slab_seen.assign(meta.num_slabs, 0);
-        meta.slab_subfields.resize(meta.num_slabs);
-      }
-    } else if (k == "num_cells") {
-      ok = std::fscanf(f, "%" SCNu64, &meta.num_cells) == 1;
-    } else if (k == "tree") {
-      ok = std::fscanf(f, "%" SCNu64 " %u %" SCNu64 " %" SCNu64,
-                       &meta.tree.root, &meta.tree.height, &meta.tree.size,
-                       &meta.tree.num_nodes) == 4;
-      meta.has_tree = true;
-    } else if (k == "slab") {
-      uint32_t sk = 0;
+  uint64_t declared_subfields = 0;
+  uint64_t parsed_subfields = 0;
+  while (r.NextKey()) {
+    if (ReadHeaderKey(&r, kTemporalCatalog, &meta.header)) continue;
+    const std::string_view k = r.key();
+    uint32_t slab = 0;
+    if (k == "slab") {
+      // Slabs are listed in order and before any tsf row, so every
+      // allocation follows a row actually present in the file.
       PageId first = 0;
-      ok = std::fscanf(f, "%u %" SCNu64, &sk, &first) == 2 &&
-           sk < meta.slab_first_pages.size();
-      if (ok) {
-        meta.slab_first_pages[sk] = first;
-        meta.slab_seen[sk] = 1;
+      if (r.Read(&slab, &first) &&
+          r.Check(slab == meta.slab_first_pages.size(), "slab")) {
+        meta.slab_first_pages.push_back(first);
+        meta.slab_subfields.emplace_back();
       }
     } else if (k == "subfields") {
-      ok = std::fscanf(f, "%" SCNu64, &meta.declared_subfields) == 1;
+      r.Read(&declared_subfields);
     } else if (k == "tsf") {
-      uint32_t sk = 0;
       Subfield sf;
-      ok = std::fscanf(f, "%u %" SCNu64 " %" SCNu64 " %lg %lg %lg", &sk,
-                       &sf.start, &sf.end, &sf.interval.min,
-                       &sf.interval.max, &sf.sum_interval_sizes) == 6 &&
-           sk < meta.slab_subfields.size() &&
-           meta.parsed_subfields < (uint64_t{1} << 24);
-      if (ok) {
-        meta.slab_subfields[sk].push_back(sf);
-        ++meta.parsed_subfields;
+      if (r.Read(&slab, &sf) &&
+          r.Check(slab < meta.slab_subfields.size(), "tsf")) {
+        meta.slab_subfields[slab].push_back(sf);
+        ++parsed_subfields;
       }
     } else {
-      ok = false;
+      r.FailUnknownKey();
     }
   }
-  std::fclose(f);
-  if (!ok) return Status::Corruption("malformed catalog " + path);
-  FIELDDB_RETURN_IF_ERROR(ValidateTemporalMeta(meta, path));
+  CheckHeader(&r, kTemporalCatalog, meta.header);
+  r.Check(meta.slab_first_pages.size() == meta.header.num_slabs, "slab");
+  r.Check(declared_subfields == parsed_subfields, "subfields");
+  for (const std::vector<Subfield>& sfs : meta.slab_subfields) {
+    CheckSubfieldRows(&r, "tsf", sfs, meta.header.num_cells);
+  }
+  FIELDDB_RETURN_IF_ERROR(r.status());
   return meta;
 }
 
@@ -318,20 +224,22 @@ Status TemporalFieldDatabase::SaveImpl(const std::string& prefix,
   return engine_.SaveSnapshot(
       prefix, crash_point,
       [&](const std::string& meta_tmp_path, uint32_t new_epoch) -> Status {
-        TemporalMetaData meta;
-        meta.page_size = engine_.file()->page_size();
-        meta.epoch = new_epoch;
-        meta.num_slabs = num_slabs_;
-        meta.num_cells = pos_of_.size();
-        meta.has_tree = tree_ != nullptr;
-        if (tree_ != nullptr) meta.tree = tree_->meta();
-        meta.slab_first_pages.resize(num_slabs_);
-        meta.slab_subfields.resize(num_slabs_);
+        CatalogWriter w = BeginFieldCatalog(
+            kTemporalCatalog, {.page_size = engine_.file()->page_size(),
+                               .epoch = new_epoch,
+                               .num_slabs = num_slabs_,
+                               .num_cells = pos_of_.size()});
+        if (tree_ != nullptr) w.Line("tree", tree_->meta());
+        uint64_t total = 0;
         for (uint32_t k = 0; k < num_slabs_; ++k) {
-          meta.slab_first_pages[k] = slabs_[k].store->first_page();
-          meta.slab_subfields[k] = slabs_[k].subfields;
+          w.Line("slab", k, slabs_[k].store->first_page());
+          total += slabs_[k].subfields.size();
         }
-        return WriteTemporalMeta(meta_tmp_path, meta);
+        w.Line("subfields", total);
+        for (uint32_t k = 0; k < num_slabs_; ++k) {
+          for (const Subfield& sf : slabs_[k].subfields) w.Line("tsf", k, sf);
+        }
+        return w.Commit(meta_tmp_path);
       });
 }
 
@@ -342,42 +250,35 @@ StatusOr<std::unique_ptr<TemporalFieldDatabase>> TemporalFieldDatabase::Open(
 
 StatusOr<std::unique_ptr<TemporalFieldDatabase>> TemporalFieldDatabase::Open(
     const std::string& prefix, const OpenOptions& options) {
-  TryCompleteInterruptedSave(
-      prefix, [](const std::string& path) -> StatusOr<uint32_t> {
-        StatusOr<TemporalMetaData> m = ReadTemporalMeta(path);
-        if (!m.ok()) return m.status();
-        return m->epoch;
-      });
-
-  StatusOr<TemporalMetaData> meta = ReadTemporalMeta(prefix + ".meta");
+  const std::string meta_path = prefix + ".meta";
+  TryCompleteInterruptedSave(prefix, kTemporalCatalog.magic);
+  StatusOr<TemporalMetaData> meta = ReadTemporalMeta(meta_path);
   if (!meta.ok()) return meta.status();
+  const StoreHeader& header = meta->header;
 
   auto db =
       std::unique_ptr<TemporalFieldDatabase>(new TemporalFieldDatabase());
-  db->num_slabs_ = meta->num_slabs;
-  db->t_max_ = static_cast<double>(meta->num_slabs);
+  db->num_slabs_ = header.num_slabs;
+  db->t_max_ = static_cast<double>(header.num_slabs);
   db->planner_mode_.store(options.planner_mode, std::memory_order_relaxed);
   FIELDDB_RETURN_IF_ERROR(db->engine_.InitForOpen(
-      prefix, meta->page_size, meta->epoch, options.pool_pages));
+      prefix, header.page_size, header.epoch, options.pool_pages));
   BufferPool* const pool = db->engine_.pool();
 
   const uint64_t num_pages = db->engine_.file()->NumPages();
-  if (meta->tree.root >= num_pages) {
-    return Status::Corruption("catalog " + prefix +
-                              ".meta: invalid value for 'tree'");
-  }
-  const uint64_t n = meta->num_cells;
-  for (uint32_t k = 0; k < meta->num_slabs; ++k) {
-    if (n > 0 && meta->slab_first_pages[k] >= num_pages) {
-      return Status::Corruption("catalog " + prefix +
-                                ".meta: invalid value for 'slab'");
-    }
+  FIELDDB_RETURN_IF_ERROR(
+      CheckTree(meta_path, "tree", header.tree, true, num_pages));
+  const uint64_t n = header.num_cells;
+  for (const PageId first : meta->slab_first_pages) {
+    FIELDDB_RETURN_IF_ERROR(
+        CheckStorePages(meta_path, "slab", first, n, header.page_size,
+                        sizeof(VectorCellRecord), num_pages));
   }
 
   // Attach the slab stores and rebuild the in-RAM sidecars (zone maps
   // per slab; the shared position map from slab 0's record ids).
   db->pos_of_.assign(n, ~uint64_t{0});
-  for (uint32_t k = 0; k < meta->num_slabs; ++k) {
+  for (uint32_t k = 0; k < header.num_slabs; ++k) {
     Slab slab;
     StatusOr<RecordStore<VectorCellRecord>> store =
         RecordStore<VectorCellRecord>::Attach(pool,
@@ -388,25 +289,27 @@ StatusOr<std::unique_ptr<TemporalFieldDatabase>> TemporalFieldDatabase::Open(
     slab.subfields = std::move(meta->slab_subfields[k]);
     db->total_subfields_ += slab.subfields.size();
     slab.zones.Reserve(n);
+    bool foreign = false;
     FIELDDB_RETURN_IF_ERROR(slab.store->Scan(
         0, n, [&](uint64_t pos, const VectorCellRecord& rec) {
+          // A record no Build wrote: the catalog overstates num_cells.
+          foreign = rec.num_vertices > 4;
+          if (foreign) return false;
           slab.zones.Append(SlabInterval(rec));
           if (k == 0 && rec.id < n) db->pos_of_[rec.id] = pos;
           return true;
         }));
+    if (foreign) return Status::Corruption("slab store holds a foreign record");
     db->slabs_.push_back(std::move(slab));
   }
-  if (meta->num_slabs > 0) {
-    for (const uint64_t pos : db->pos_of_) {
-      if (pos == ~uint64_t{0}) {
-        return Status::Corruption("temporal store is missing cell ids");
-      }
+  // CheckHeader admits no slab-less catalog, so slab 0 mapped every id.
+  for (const uint64_t pos : db->pos_of_) {
+    if (pos == ~uint64_t{0}) {
+      return Status::Corruption("temporal store is missing cell ids");
     }
-  } else {
-    for (uint64_t i = 0; i < n; ++i) db->pos_of_[i] = i;
   }
   db->tree_ = std::make_unique<RStarTree<2>>(
-      RStarTree<2>::Attach(pool, meta->tree));
+      RStarTree<2>::Attach(pool, *header.tree));
 
   // Recovery: a frame carries the snapshot index in values[0] followed
   // by the vertex samples; logical redo through the same apply path

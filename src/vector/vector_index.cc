@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
+#include <string_view>
 
+#include "core/catalog.h"
 #include "core/ext_sort.h"
 #include "curve/hilbert.h"
 
@@ -13,123 +13,44 @@ namespace fielddb {
 
 namespace {
 
-constexpr const char* kVectorMagic = "fielddb-vector-meta-v1";
+constexpr CatalogKind kVectorCatalog{
+    "fielddb-vector-meta-v1", static_cast<int>(VectorIndexMethod::kIHilbert)};
 
 struct VectorMetaData {
-  uint32_t page_size = 0;
-  uint32_t epoch = 0;
-  int method = 0;
-  uint64_t num_cells = 0;
-  PageId store_first_page = 0;
-  bool has_tree = false;
-  RStarMeta tree;
+  StoreHeader header;
   std::vector<VectorSubfield> subfields;
-  uint64_t declared_subfields = 0;
 };
 
-Status WriteVectorMeta(const std::string& path, const VectorMetaData& meta) {
-  return WriteCatalogFile(path, [&](std::FILE* f) {
-    std::fprintf(f, "%s\n", kVectorMagic);
-    std::fprintf(f, "page_size %u\n", meta.page_size);
-    std::fprintf(f, "epoch %u\n", meta.epoch);
-    std::fprintf(f, "method %d\n", meta.method);
-    std::fprintf(f, "num_cells %" PRIu64 "\n", meta.num_cells);
-    std::fprintf(f, "store_first_page %" PRIu64 "\n",
-                 meta.store_first_page);
-    if (meta.has_tree) {
-      std::fprintf(f, "tree %" PRIu64 " %u %" PRIu64 " %" PRIu64 "\n",
-                   meta.tree.root, meta.tree.height, meta.tree.size,
-                   meta.tree.num_nodes);
-    }
-    std::fprintf(f, "subfields %zu\n", meta.subfields.size());
-    for (const VectorSubfield& sf : meta.subfields) {
-      std::fprintf(f,
-                   "sfv %" PRIu64 " %" PRIu64
-                   " %.17g %.17g %.17g %.17g %.17g\n",
-                   sf.start, sf.end, sf.box.lo[0], sf.box.lo[1],
-                   sf.box.hi[0], sf.box.hi[1], sf.sum_box_sizes);
-    }
-    return true;
-  });
-}
-
-Status ValidateVectorMeta(const VectorMetaData& meta,
-                          const std::string& path) {
-  const auto bad = [&](const char* key) {
-    return Status::Corruption("catalog " + path + ": invalid value for '" +
-                              key + "'");
-  };
-  if (meta.page_size == 0 || meta.page_size > (1u << 26)) {
-    return bad("page_size");
-  }
-  if (meta.method < 0 ||
-      meta.method > static_cast<int>(VectorIndexMethod::kIHilbert)) {
-    return bad("method");
-  }
-  if (meta.declared_subfields != meta.subfields.size()) {
-    return bad("subfields");
-  }
-  for (const VectorSubfield& sf : meta.subfields) {
-    if (sf.start > sf.end || sf.end > meta.num_cells) return bad("sfv");
-    for (int d = 0; d < 2; ++d) {
-      if (!std::isfinite(sf.box.lo[d]) || !std::isfinite(sf.box.hi[d]) ||
-          sf.box.lo[d] > sf.box.hi[d]) {
-        return bad("sfv");
-      }
-    }
-    if (!std::isfinite(sf.sum_box_sizes)) return bad("sfv");
-  }
-  return Status::OK();
-}
-
 StatusOr<VectorMetaData> ReadVectorMeta(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return Status::IOError("cannot read " + path);
+  CatalogReader r(path);
+  FIELDDB_RETURN_IF_ERROR(r.Load(kVectorCatalog.magic));
   VectorMetaData meta;
-  char magic[64] = {};
-  if (std::fscanf(f, "%63s", magic) != 1 ||
-      std::string(magic) != kVectorMagic) {
-    std::fclose(f);
-    return Status::Corruption("bad magic in " + path);
-  }
-  char key[64];
-  bool ok = true;
-  while (ok && std::fscanf(f, "%63s", key) == 1) {
-    const std::string k = key;
-    if (k == "page_size") {
-      ok = std::fscanf(f, "%u", &meta.page_size) == 1;
-    } else if (k == "epoch") {
-      ok = std::fscanf(f, "%u", &meta.epoch) == 1;
-    } else if (k == "method") {
-      ok = std::fscanf(f, "%d", &meta.method) == 1;
-    } else if (k == "num_cells") {
-      ok = std::fscanf(f, "%" SCNu64, &meta.num_cells) == 1;
-    } else if (k == "store_first_page") {
-      ok = std::fscanf(f, "%" SCNu64, &meta.store_first_page) == 1;
-    } else if (k == "tree") {
-      ok = std::fscanf(f, "%" SCNu64 " %u %" SCNu64 " %" SCNu64,
-                       &meta.tree.root, &meta.tree.height, &meta.tree.size,
-                       &meta.tree.num_nodes) == 4;
-      meta.has_tree = true;
-    } else if (k == "subfields") {
-      ok = std::fscanf(f, "%" SCNu64, &meta.declared_subfields) == 1;
-      if (ok && meta.declared_subfields <= (uint64_t{1} << 24)) {
-        meta.subfields.reserve(meta.declared_subfields);
-      }
+  uint64_t declared_subfields = 0;
+  while (r.NextKey()) {
+    if (ReadHeaderKey(&r, kVectorCatalog, &meta.header)) continue;
+    const std::string_view k = r.key();
+    if (k == "subfields") {
+      r.Read(&declared_subfields);
     } else if (k == "sfv") {
       VectorSubfield sf;
-      ok = std::fscanf(f, "%" SCNu64 " %" SCNu64 " %lg %lg %lg %lg %lg",
-                       &sf.start, &sf.end, &sf.box.lo[0], &sf.box.lo[1],
-                       &sf.box.hi[0], &sf.box.hi[1],
-                       &sf.sum_box_sizes) == 7;
-      meta.subfields.push_back(sf);
+      if (r.Read(&sf.start, &sf.end, &sf.box.lo[0], &sf.box.lo[1],
+                 &sf.box.hi[0], &sf.box.hi[1], &sf.sum_box_sizes)) {
+        meta.subfields.push_back(sf);
+      }
     } else {
-      ok = false;
+      r.FailUnknownKey();
     }
   }
-  std::fclose(f);
-  if (!ok) return Status::Corruption("malformed catalog " + path);
-  FIELDDB_RETURN_IF_ERROR(ValidateVectorMeta(meta, path));
+  CheckHeader(&r, kVectorCatalog, meta.header);
+  r.Check(declared_subfields == meta.subfields.size(), "subfields");
+  for (const VectorSubfield& sf : meta.subfields) {
+    r.Check(sf.start <= sf.end && sf.end <= meta.header.num_cells &&
+                FiniteInterval({sf.box.lo[0], sf.box.hi[0]}) &&
+                FiniteInterval({sf.box.lo[1], sf.box.hi[1]}) &&
+                std::isfinite(sf.sum_box_sizes),
+            "sfv");
+  }
+  FIELDDB_RETURN_IF_ERROR(r.status());
   return meta;
 }
 
@@ -319,18 +240,19 @@ Status VectorFieldDatabase::SaveImpl(const std::string& prefix,
   return engine_.SaveSnapshot(
       prefix, crash_point,
       [&](const std::string& meta_tmp_path, uint32_t new_epoch) -> Status {
-        VectorMetaData meta;
-        meta.page_size = engine_.file()->page_size();
-        meta.epoch = new_epoch;
-        meta.method = static_cast<int>(method_);
-        meta.num_cells = store_->size();
-        meta.store_first_page = store_->first_page();
-        if (tree_ != nullptr) {
-          meta.has_tree = true;
-          meta.tree = tree_->meta();
+        CatalogWriter w = BeginFieldCatalog(
+            kVectorCatalog, {.page_size = engine_.file()->page_size(),
+                             .epoch = new_epoch,
+                             .method = static_cast<int>(method_),
+                             .num_cells = store_->size(),
+                             .store_first_page = store_->first_page()});
+        if (tree_ != nullptr) w.Line("tree", tree_->meta());
+        w.Line("subfields", static_cast<uint64_t>(subfields_.size()));
+        for (const VectorSubfield& sf : subfields_) {
+          w.Line("sfv", sf.start, sf.end, sf.box.lo[0], sf.box.lo[1],
+                 sf.box.hi[0], sf.box.hi[1], sf.sum_box_sizes);
         }
-        meta.subfields = subfields_;
-        return WriteVectorMeta(meta_tmp_path, meta);
+        return w.Commit(meta_tmp_path);
       });
 }
 
@@ -341,56 +263,48 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Open(
 
 StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Open(
     const std::string& prefix, const OpenOptions& options) {
-  TryCompleteInterruptedSave(
-      prefix, [](const std::string& path) -> StatusOr<uint32_t> {
-        StatusOr<VectorMetaData> m = ReadVectorMeta(path);
-        if (!m.ok()) return m.status();
-        return m->epoch;
-      });
-
-  StatusOr<VectorMetaData> meta = ReadVectorMeta(prefix + ".meta");
+  const std::string meta_path = prefix + ".meta";
+  TryCompleteInterruptedSave(prefix, kVectorCatalog.magic);
+  StatusOr<VectorMetaData> meta = ReadVectorMeta(meta_path);
   if (!meta.ok()) return meta.status();
+  const StoreHeader& header = meta->header;
 
   auto db = std::unique_ptr<VectorFieldDatabase>(new VectorFieldDatabase());
-  db->method_ = static_cast<VectorIndexMethod>(meta->method);
+  db->method_ = static_cast<VectorIndexMethod>(header.method);
   db->planner_mode_.store(options.planner_mode, std::memory_order_relaxed);
   FIELDDB_RETURN_IF_ERROR(db->engine_.InitForOpen(
-      prefix, meta->page_size, meta->epoch, options.pool_pages));
+      prefix, header.page_size, header.epoch, options.pool_pages));
   BufferPool* const pool = db->engine_.pool();
 
   const uint64_t num_pages = db->engine_.file()->NumPages();
-  if (meta->num_cells > 0 && meta->store_first_page >= num_pages) {
-    return Status::Corruption("catalog " + prefix +
-                              ".meta: invalid value for 'store_first_page'");
-  }
-  if (meta->has_tree && meta->tree.root >= num_pages) {
-    return Status::Corruption("catalog " + prefix +
-                              ".meta: invalid value for 'tree'");
-  }
-  if (db->method_ == VectorIndexMethod::kIHilbert && !meta->has_tree) {
-    return Status::Corruption("catalog " + prefix +
-                              ".meta: missing tree meta");
-  }
+  FIELDDB_RETURN_IF_ERROR(CheckStorePages(
+      meta_path, "store_first_page", header.store_first_page,
+      header.num_cells, header.page_size, sizeof(VectorCellRecord), num_pages));
+  FIELDDB_RETURN_IF_ERROR(CheckTree(meta_path, "tree", header.tree,
+                                    db->method_ == VectorIndexMethod::kIHilbert,
+                                    num_pages));
 
   StatusOr<RecordStore<VectorCellRecord>> store =
-      RecordStore<VectorCellRecord>::Attach(pool, meta->store_first_page,
-                                            meta->num_cells);
+      RecordStore<VectorCellRecord>::Attach(pool, header.store_first_page,
+                                            header.num_cells);
   if (!store.ok()) return store.status();
   db->store_ = std::make_unique<RecordStore<VectorCellRecord>>(
       std::move(store).value());
   db->subfields_ = std::move(meta->subfields);
-  if (meta->has_tree) {
+  if (header.tree) {
     db->tree_ = std::make_unique<RStarTree<2>>(
-        RStarTree<2>::Attach(pool, meta->tree));
+        RStarTree<2>::Attach(pool, *header.tree));
   }
 
   // One store pass rebuilds both in-RAM sidecars: the cell-id ->
   // position map and the 2-D zone map the planner probes.
-  const uint64_t n = meta->num_cells;
+  const uint64_t n = header.num_cells;
   db->pos_of_.assign(n, ~uint64_t{0});
   db->zones_.Reserve(n);
   FIELDDB_RETURN_IF_ERROR(db->store_->Scan(
       0, n, [&](uint64_t pos, const VectorCellRecord& rec) {
+        // A record no Build wrote ends the scan (the id check fails).
+        if (rec.num_vertices > 4) return false;
         if (rec.id < n) db->pos_of_[rec.id] = pos;
         const Box<2> box = rec.ValueBox();
         db->zones_.Append(BoxUInterval(box), BoxVInterval(box));

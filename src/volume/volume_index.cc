@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
+#include <string_view>
 
+#include "core/catalog.h"
 #include "core/ext_sort.h"
 #include "curve/hilbert.h"
 #include "index/subfield_maintenance.h"
@@ -15,137 +15,41 @@ namespace fielddb {
 
 namespace {
 
-constexpr const char* kVolumeMagic = "fielddb-volume-meta-v1";
+constexpr CatalogKind kVolumeCatalog{
+    "fielddb-volume-meta-v1", static_cast<int>(VolumeIndexMethod::kIHilbert)};
 
 struct VolumeMetaData {
-  uint32_t page_size = 0;
-  uint32_t epoch = 0;
-  int method = 0;
-  uint64_t num_cells = 0;
-  PageId store_first_page = 0;
+  StoreHeader header;
   double voxel_volume = 0.0;
   ValueInterval value_range;
-  bool has_tree = false;
-  RStarMeta tree;
-  std::vector<Subfield> subfields;
-  uint64_t declared_subfields = 0;
+  SubfieldTable subfields;
 };
 
-Status WriteVolumeMeta(const std::string& path, const VolumeMetaData& meta) {
-  return WriteCatalogFile(path, [&](std::FILE* f) {
-    std::fprintf(f, "%s\n", kVolumeMagic);
-    std::fprintf(f, "page_size %u\n", meta.page_size);
-    std::fprintf(f, "epoch %u\n", meta.epoch);
-    std::fprintf(f, "method %d\n", meta.method);
-    std::fprintf(f, "num_cells %" PRIu64 "\n", meta.num_cells);
-    std::fprintf(f, "store_first_page %" PRIu64 "\n",
-                 meta.store_first_page);
-    std::fprintf(f, "voxel_volume %.17g\n", meta.voxel_volume);
-    std::fprintf(f, "value_range %.17g %.17g\n", meta.value_range.min,
-                 meta.value_range.max);
-    if (meta.has_tree) {
-      std::fprintf(f, "tree %" PRIu64 " %u %" PRIu64 " %" PRIu64 "\n",
-                   meta.tree.root, meta.tree.height, meta.tree.size,
-                   meta.tree.num_nodes);
-    }
-    std::fprintf(f, "subfields %zu\n", meta.subfields.size());
-    for (const Subfield& sf : meta.subfields) {
-      std::fprintf(f, "sf %" PRIu64 " %" PRIu64 " %.17g %.17g %.17g\n",
-                   sf.start, sf.end, sf.interval.min, sf.interval.max,
-                   sf.sum_interval_sizes);
-    }
-    return true;
-  });
-}
-
-Status ValidateVolumeMeta(const VolumeMetaData& meta,
-                          const std::string& path) {
-  const auto bad = [&](const char* key) {
-    return Status::Corruption("catalog " + path + ": invalid value for '" +
-                              key + "'");
-  };
-  if (meta.page_size == 0 || meta.page_size > (1u << 26)) {
-    return bad("page_size");
-  }
-  if (meta.method < 0 ||
-      meta.method > static_cast<int>(VolumeIndexMethod::kIHilbert)) {
-    return bad("method");
-  }
-  if (!std::isfinite(meta.voxel_volume) || meta.voxel_volume < 0.0) {
-    return bad("voxel_volume");
-  }
-  if (!std::isfinite(meta.value_range.min) ||
-      !std::isfinite(meta.value_range.max) ||
-      meta.value_range.min > meta.value_range.max) {
-    return bad("value_range");
-  }
-  if (meta.declared_subfields != meta.subfields.size()) {
-    return bad("subfields");
-  }
-  for (const Subfield& sf : meta.subfields) {
-    if (sf.start > sf.end || sf.end > meta.num_cells) return bad("sf");
-    if (!std::isfinite(sf.interval.min) ||
-        !std::isfinite(sf.interval.max) ||
-        sf.interval.min > sf.interval.max ||
-        !std::isfinite(sf.sum_interval_sizes)) {
-      return bad("sf");
-    }
-  }
-  return Status::OK();
-}
-
 StatusOr<VolumeMetaData> ReadVolumeMeta(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return Status::IOError("cannot read " + path);
+  CatalogReader r(path);
+  FIELDDB_RETURN_IF_ERROR(r.Load(kVolumeCatalog.magic));
   VolumeMetaData meta;
-  char magic[64] = {};
-  if (std::fscanf(f, "%63s", magic) != 1 ||
-      std::string(magic) != kVolumeMagic) {
-    std::fclose(f);
-    return Status::Corruption("bad magic in " + path);
-  }
-  char key[64];
-  bool ok = true;
-  while (ok && std::fscanf(f, "%63s", key) == 1) {
-    const std::string k = key;
-    if (k == "page_size") {
-      ok = std::fscanf(f, "%u", &meta.page_size) == 1;
-    } else if (k == "epoch") {
-      ok = std::fscanf(f, "%u", &meta.epoch) == 1;
-    } else if (k == "method") {
-      ok = std::fscanf(f, "%d", &meta.method) == 1;
-    } else if (k == "num_cells") {
-      ok = std::fscanf(f, "%" SCNu64, &meta.num_cells) == 1;
-    } else if (k == "store_first_page") {
-      ok = std::fscanf(f, "%" SCNu64, &meta.store_first_page) == 1;
-    } else if (k == "voxel_volume") {
-      ok = std::fscanf(f, "%lg", &meta.voxel_volume) == 1;
+  while (r.NextKey()) {
+    if (ReadHeaderKey(&r, kVolumeCatalog, &meta.header) ||
+        ReadSubfieldKey(&r, "sf", &meta.subfields)) {
+      continue;
+    }
+    const std::string_view k = r.key();
+    if (k == "voxel_volume") {
+      r.Read(&meta.voxel_volume);
     } else if (k == "value_range") {
-      ok = std::fscanf(f, "%lg %lg", &meta.value_range.min,
-                       &meta.value_range.max) == 2;
-    } else if (k == "tree") {
-      ok = std::fscanf(f, "%" SCNu64 " %u %" SCNu64 " %" SCNu64,
-                       &meta.tree.root, &meta.tree.height, &meta.tree.size,
-                       &meta.tree.num_nodes) == 4;
-      meta.has_tree = true;
-    } else if (k == "subfields") {
-      ok = std::fscanf(f, "%" SCNu64, &meta.declared_subfields) == 1;
-      if (ok && meta.declared_subfields <= (uint64_t{1} << 24)) {
-        meta.subfields.reserve(meta.declared_subfields);
-      }
-    } else if (k == "sf") {
-      Subfield sf;
-      ok = std::fscanf(f, "%" SCNu64 " %" SCNu64 " %lg %lg %lg", &sf.start,
-                       &sf.end, &sf.interval.min, &sf.interval.max,
-                       &sf.sum_interval_sizes) == 5;
-      meta.subfields.push_back(sf);
+      r.Read(&meta.value_range.min, &meta.value_range.max);
     } else {
-      ok = false;
+      r.FailUnknownKey();
     }
   }
-  std::fclose(f);
-  if (!ok) return Status::Corruption("malformed catalog " + path);
-  FIELDDB_RETURN_IF_ERROR(ValidateVolumeMeta(meta, path));
+  CheckHeader(&r, kVolumeCatalog, meta.header);
+  r.Check(std::isfinite(meta.voxel_volume) && meta.voxel_volume >= 0.0,
+          "voxel_volume");
+  r.Check(FiniteInterval(meta.value_range), "value_range");
+  r.Check(meta.subfields.declared == meta.subfields.rows.size(), "subfields");
+  CheckSubfieldRows(&r, "sf", meta.subfields.rows, meta.header.num_cells);
+  FIELDDB_RETURN_IF_ERROR(r.status());
   return meta;
 }
 
@@ -256,20 +160,17 @@ Status VolumeFieldDatabase::SaveImpl(const std::string& prefix,
   return engine_.SaveSnapshot(
       prefix, crash_point,
       [&](const std::string& meta_tmp_path, uint32_t new_epoch) -> Status {
-        VolumeMetaData meta;
-        meta.page_size = engine_.file()->page_size();
-        meta.epoch = new_epoch;
-        meta.method = static_cast<int>(method_);
-        meta.num_cells = store_->size();
-        meta.store_first_page = store_->first_page();
-        meta.voxel_volume = voxel_volume_;
-        meta.value_range = value_range_;
-        if (tree_ != nullptr) {
-          meta.has_tree = true;
-          meta.tree = tree_->meta();
-        }
-        meta.subfields = subfields_;
-        return WriteVolumeMeta(meta_tmp_path, meta);
+        CatalogWriter w = BeginFieldCatalog(
+            kVolumeCatalog, {.page_size = engine_.file()->page_size(),
+                             .epoch = new_epoch,
+                             .method = static_cast<int>(method_),
+                             .num_cells = store_->size(),
+                             .store_first_page = store_->first_page()});
+        w.Line("voxel_volume", voxel_volume_);
+        w.Line("value_range", value_range_.min, value_range_.max);
+        if (tree_ != nullptr) w.Line("tree", tree_->meta());
+        WriteSubfields(&w, "sf", subfields_);
+        return w.Commit(meta_tmp_path);
       });
 }
 
@@ -280,53 +181,43 @@ StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Open(
 
 StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Open(
     const std::string& prefix, const OpenOptions& options) {
-  TryCompleteInterruptedSave(
-      prefix, [](const std::string& path) -> StatusOr<uint32_t> {
-        StatusOr<VolumeMetaData> m = ReadVolumeMeta(path);
-        if (!m.ok()) return m.status();
-        return m->epoch;
-      });
-
-  StatusOr<VolumeMetaData> meta = ReadVolumeMeta(prefix + ".meta");
+  const std::string meta_path = prefix + ".meta";
+  TryCompleteInterruptedSave(prefix, kVolumeCatalog.magic);
+  StatusOr<VolumeMetaData> meta = ReadVolumeMeta(meta_path);
   if (!meta.ok()) return meta.status();
+  const StoreHeader& header = meta->header;
 
   auto db = std::unique_ptr<VolumeFieldDatabase>(new VolumeFieldDatabase());
-  db->method_ = static_cast<VolumeIndexMethod>(meta->method);
+  db->method_ = static_cast<VolumeIndexMethod>(header.method);
   db->planner_mode_.store(options.planner_mode, std::memory_order_relaxed);
   db->value_range_ = meta->value_range;
   db->voxel_volume_ = meta->voxel_volume;
   FIELDDB_RETURN_IF_ERROR(db->engine_.InitForOpen(
-      prefix, meta->page_size, meta->epoch, options.pool_pages));
+      prefix, header.page_size, header.epoch, options.pool_pages));
   BufferPool* const pool = db->engine_.pool();
 
   const uint64_t num_pages = db->engine_.file()->NumPages();
-  if (meta->num_cells > 0 && meta->store_first_page >= num_pages) {
-    return Status::Corruption("catalog " + prefix +
-                              ".meta: invalid value for 'store_first_page'");
-  }
-  if (meta->has_tree && meta->tree.root >= num_pages) {
-    return Status::Corruption("catalog " + prefix +
-                              ".meta: invalid value for 'tree'");
-  }
-  if (db->method_ == VolumeIndexMethod::kIHilbert && !meta->has_tree) {
-    return Status::Corruption("catalog " + prefix +
-                              ".meta: missing tree meta");
-  }
+  FIELDDB_RETURN_IF_ERROR(CheckStorePages(
+      meta_path, "store_first_page", header.store_first_page,
+      header.num_cells, header.page_size, sizeof(VoxelRecord), num_pages));
+  FIELDDB_RETURN_IF_ERROR(CheckTree(meta_path, "tree", header.tree,
+                                    db->method_ == VolumeIndexMethod::kIHilbert,
+                                    num_pages));
 
   StatusOr<RecordStore<VoxelRecord>> store = RecordStore<VoxelRecord>::Attach(
-      pool, meta->store_first_page, meta->num_cells);
+      pool, header.store_first_page, header.num_cells);
   if (!store.ok()) return store.status();
   db->store_ =
       std::make_unique<RecordStore<VoxelRecord>>(std::move(store).value());
-  db->subfields_ = std::move(meta->subfields);
-  if (meta->has_tree) {
+  db->subfields_ = std::move(meta->subfields.rows);
+  if (header.tree) {
     db->tree_ = std::make_unique<RStarTree<1>>(
-        RStarTree<1>::Attach(pool, meta->tree));
+        RStarTree<1>::Attach(pool, *header.tree));
   }
 
   // One store pass rebuilds both in-RAM sidecars: the voxel-id ->
   // position map and the zone map the planner probes.
-  const uint64_t n = meta->num_cells;
+  const uint64_t n = header.num_cells;
   db->pos_of_.assign(n, ~uint64_t{0});
   db->zones_.Reserve(n);
   FIELDDB_RETURN_IF_ERROR(db->store_->Scan(

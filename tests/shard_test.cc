@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "gen/fractal.h"
@@ -329,6 +330,70 @@ TEST(ShardRouterTest, CrashRecoveryReplaysUpdatesAcrossTwoShards) {
     std::remove((sp + ".wal").c_str());
   }
   std::remove((prefix + ".router").c_str());
+}
+
+// --- Router catalog bounds ------------------------------------------
+// Crafted `<prefix>.router` files: every count is bounded by the bytes
+// left in the file before anything is allocated, and the per-shard cell
+// counts must sum to num_cells. Each case must fail cleanly with
+// kCorruption before any shard is opened (no shard files exist here).
+
+void ExpectRouterCatalogRejected(const std::string& name,
+                                 const std::string& contents) {
+  const std::string prefix = ::testing::TempDir() + "/router_catalog_" + name;
+  {
+    std::FILE* f = std::fopen((prefix + ".router").c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(contents.c_str(), f);
+    std::fclose(f);
+  }
+  auto router = ShardRouter::Open(prefix, ShardRouter::OpenOptions{});
+  ASSERT_FALSE(router.ok()) << name;
+  EXPECT_EQ(router.status().code(), StatusCode::kCorruption)
+      << name << ": " << router.status().ToString();
+  std::remove((prefix + ".router").c_str());
+}
+
+TEST(ShardRouterCatalogTest, RejectsHugeCellCount) {
+  // 2^62 cells over a file of a few dozen bytes.
+  ExpectRouterCatalogRejected("huge_num_cells",
+                              "fielddb-router-v1\nshards 1\n"
+                              "num_cells 4611686018427387904\n"
+                              "shard 0 1 0 0\n0\n");
+}
+
+TEST(ShardRouterCatalogTest, RejectsHugeShardCellCount) {
+  ExpectRouterCatalogRejected("huge_shard_cells",
+                              "fielddb-router-v1\nshards 1\nnum_cells 4\n"
+                              "shard 0 4611686018427387904 0 0\n"
+                              "0 1 2 3\n");
+}
+
+TEST(ShardRouterCatalogTest, RejectsShardCountsOverrunningTotal) {
+  // Shard 0 claims 3 of the 4 cells, shard 1 claims 2 more.
+  ExpectRouterCatalogRejected("overrun",
+                              "fielddb-router-v1\nshards 2\nnum_cells 4\n"
+                              "shard 0 3 0 1\n0 1 2\n"
+                              "shard 1 2 2 3\n3 0\n");
+}
+
+TEST(ShardRouterCatalogTest, RejectsShardCountsFallingShortOfTotal) {
+  ExpectRouterCatalogRejected("short",
+                              "fielddb-router-v1\nshards 1\nnum_cells 4\n"
+                              "shard 0 3 0 1\n0 1 2\n");
+}
+
+TEST(ShardRouterCatalogTest, RejectsDuplicateId) {
+  ExpectRouterCatalogRejected("duplicate",
+                              "fielddb-router-v1\nshards 2\nnum_cells 4\n"
+                              "shard 0 2 0 1\n0 1\n"
+                              "shard 1 2 2 3\n1 3\n");
+}
+
+TEST(ShardRouterCatalogTest, RejectsTruncatedIdList) {
+  ExpectRouterCatalogRejected("truncated",
+                              "fielddb-router-v1\nshards 1\nnum_cells 4\n"
+                              "shard 0 4 0 1\n0 1 2");
 }
 
 }  // namespace

@@ -16,32 +16,39 @@
 # batch-I/O / shared-scan path (vectored prefetch installs, executor
 # grouping), and the shard router's scatter/gather across per-shard
 # executor lanes.
+#
+# The ubsan tree is built with -fno-sanitize-recover=undefined, so any
+# UBSan report aborts its test and fails the run. Builds and test runs
+# use one job per CPU.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 mode="${1:-all}"
 
 run_one() {
-  local name="$1" flags="$2" ctest_args="${3:-}"
+  local name="$1" flags="$2" ctest_args="${3:-}" cxx_flags="${4:-}"
   local dir="build-${name}"
   echo "=== ${name}: configuring (${flags}) ==="
   cmake -B "${dir}" -S . \
     -DFIELDDB_SANITIZE="${flags}" \
+    -DCMAKE_CXX_FLAGS="${cxx_flags}" \
     -DFIELDDB_BUILD_BENCHMARKS=OFF \
     -DFIELDDB_BUILD_EXAMPLES=OFF \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  cmake --build "${dir}" -j >/dev/null
+  cmake --build "${dir}" -j "$(nproc)" >/dev/null
   echo "=== ${name}: running tests ==="
   # shellcheck disable=SC2086  # ctest_args is intentionally word-split
-  (cd "${dir}" && ctest ${ctest_args} --output-on-failure -j)
+  (cd "${dir}" && ctest ${ctest_args} --output-on-failure -j "$(nproc)")
 }
+
+ubsan_flags="-fno-sanitize-recover=undefined"
 
 case "${mode}" in
   asan)  run_one asan address ;;
-  ubsan) run_one ubsan undefined ;;
+  ubsan) run_one ubsan undefined "" "${ubsan_flags}" ;;
   tsan)  run_one tsan thread \
            "-L concurrency|planner|recovery|ext|obs|asyncio|shard" ;;
-  all)   run_one asan address && run_one ubsan undefined \
+  all)   run_one asan address && run_one ubsan undefined "" "${ubsan_flags}" \
            && run_one tsan thread \
                 "-L concurrency|planner|recovery|ext|obs|asyncio|shard" ;;
   *)     echo "usage: $0 [asan|ubsan|tsan|all]" >&2; exit 2 ;;
