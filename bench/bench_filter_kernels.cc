@@ -59,7 +59,7 @@ double Coverage(const CellStore& store, const std::vector<double>& centers,
   std::vector<PosRange> out;
   for (const double c : centers) {
     out.clear();
-    store.FilterZoneMap(ValueInterval{c - w / 2, c + w / 2}, &out);
+    store.zone_map().FilterRanges(ValueInterval{c - w / 2, c + w / 2}, &out);
     total += TotalRangeLength(out);
   }
   return static_cast<double>(total) /
@@ -109,8 +109,8 @@ bool RunPoint(const CellStore& store, const std::vector<ValueInterval>& qs,
   for (int rep = 0; rep < repeats; ++rep) {
     for (const ValueInterval& q : qs) {
       scalar_runs.clear();
-      simd::FilterIntervalRangesScalar(store.zone_min().data(),
-                                       store.zone_max().data(), store.size(),
+      simd::FilterIntervalRangesScalar(store.zone_map().mins(0),
+                                       store.zone_map().maxs(0), store.size(),
                                        0, q.min, q.max, &scalar_runs);
     }
   }
@@ -120,7 +120,7 @@ bool RunPoint(const CellStore& store, const std::vector<ValueInterval>& qs,
   for (int rep = 0; rep < repeats; ++rep) {
     for (const ValueInterval& q : qs) {
       simd_runs.clear();
-      store.FilterZoneMap(q, &simd_runs);
+      store.zone_map().FilterRanges(q, &simd_runs);
     }
   }
   p->zonemap_simd_ms = MsSince(t_simd) / repeats;
@@ -139,10 +139,10 @@ bool RunPoint(const CellStore& store, const std::vector<ValueInterval>& qs,
           return true;
         });
     if (!s.ok()) return false;
-    simd::FilterIntervalRangesScalar(store.zone_min().data(),
-                                     store.zone_max().data(), store.size(),
+    simd::FilterIntervalRangesScalar(store.zone_map().mins(0),
+                                     store.zone_map().maxs(0), store.size(),
                                      0, q.min, q.max, &scalar_runs);
-    store.FilterZoneMap(q, &simd_runs);
+    store.zone_map().FilterRanges(q, &simd_runs);
     identical = identical && scalar_runs == record_runs &&
                 simd_runs == record_runs;
     matched += TotalRangeLength(record_runs);

@@ -162,37 +162,8 @@ void CheckHeader(CatalogReader* r, const CatalogKind& kind,
   }
 }
 
-void WriteSubfields(CatalogWriter* w, std::string_view row_key,
-                    std::span<const Subfield> rows) {
-  w->Line("subfields", static_cast<uint64_t>(rows.size()));
-  for (const Subfield& sf : rows) w->Line(row_key, sf);
-}
-
-bool ReadSubfieldKey(CatalogReader* r, std::string_view row_key,
-                     SubfieldTable* table) {
-  if (r->key() == "subfields") {
-    r->Read(&table->declared);
-  } else if (r->key() == row_key) {
-    Subfield sf;
-    if (r->Read(&sf)) table->rows.push_back(sf);
-  } else {
-    return false;
-  }
-  return true;
-}
-
 bool FiniteInterval(const ValueInterval& iv) {
   return std::isfinite(iv.min) && std::isfinite(iv.max) && iv.min <= iv.max;
-}
-
-void CheckSubfieldRows(CatalogReader* r, std::string_view row_key,
-                       const std::vector<Subfield>& rows, uint64_t num_cells) {
-  for (const Subfield& sf : rows) {
-    r->Check(sf.start <= sf.end && sf.end <= num_cells &&
-                 FiniteInterval(sf.interval) &&
-                 std::isfinite(sf.sum_interval_sizes),
-             row_key);
-  }
 }
 
 Status CheckStorePages(const std::string& path, std::string_view key,

@@ -2,6 +2,7 @@
 #define FIELDDB_CORE_CATALOG_H_
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -21,8 +22,10 @@ namespace fielddb {
 /// temporal, vector and volume `.meta`, the router's `.router`) is a
 /// magic token, then whitespace-separated `key value...` records:
 /// integers in decimal, doubles as `%.17g` (reads back bit-exactly), an
-/// RStarMeta as `root height size num_nodes`, a Subfield as `start end
-/// min max sum`. The writer formats one buffer and commits it durably.
+/// RStarMeta as `root height size num_nodes`, a subfield as `start end`,
+/// its hull's lower then upper bounds (`min max` for an interval, `ulo
+/// vlo uhi vhi` for a box), then its size sum. The writer formats one
+/// buffer and commits it durably.
 class CatalogWriter {
  public:
   explicit CatalogWriter(std::string_view magic);
@@ -59,9 +62,12 @@ class CatalogWriter {
   void Append(const RStarMeta& m) {
     AppendAll(m.root, m.height, m.size, m.num_nodes);
   }
-  void Append(const Subfield& sf) {
-    AppendAll(sf.start, sf.end, sf.interval.min, sf.interval.max,
-              sf.sum_interval_sizes);
+  template <int D>
+  void Append(const SubfieldOf<D>& sf) {
+    AppendAll(sf.start, sf.end);
+    for (int d = 0; d < D; ++d) Append(SummaryLo(sf.interval, d));
+    for (int d = 0; d < D; ++d) Append(SummaryHi(sf.interval, d));
+    Append(sf.sum_interval_sizes);
   }
   template <typename... V>
   void AppendAll(const V&... values) {
@@ -135,6 +141,11 @@ class CatalogReader {
     return Read(&sf->start, &sf->end, &sf->interval.min, &sf->interval.max,
                 &sf->sum_interval_sizes);
   }
+  bool ReadValue(SubfieldOf<2>* sf) {
+    return Read(&sf->start, &sf->end, &sf->interval.lo[0],
+                &sf->interval.lo[1], &sf->interval.hi[0],
+                &sf->interval.hi[1], &sf->sum_interval_sizes);
+  }
 
   std::string path_;
   std::string data_;
@@ -180,22 +191,61 @@ bool ReadHeaderKey(CatalogReader* r, const CatalogKind& kind,
 void CheckHeader(CatalogReader* r, const CatalogKind& kind,
                  const StoreHeader& header);
 
-/// `subfields N`, then N Subfield rows under `row_key`.
+/// `subfields N`, then N subfield rows under `row_key`.
+template <int D>
 struct SubfieldTable {
   uint64_t declared = 0;
-  std::vector<Subfield> rows;
+  std::vector<SubfieldOf<D>> rows;
 };
+template <int D>
 void WriteSubfields(CatalogWriter* w, std::string_view row_key,
-                    std::span<const Subfield> rows);
+                    std::span<const SubfieldOf<D>> rows) {
+  w->Line("subfields", static_cast<uint64_t>(rows.size()));
+  for (const SubfieldOf<D>& sf : rows) w->Line(row_key, sf);
+}
 /// Consumes the current record if it is `subfields` or `row_key`.
+template <int D>
 bool ReadSubfieldKey(CatalogReader* r, std::string_view row_key,
-                     SubfieldTable* table);
+                     SubfieldTable<D>* table) {
+  if (r->key() == "subfields") {
+    r->Read(&table->declared);
+  } else if (r->key() == row_key) {
+    SubfieldOf<D> sf;
+    if (r->Read(&sf)) table->rows.push_back(sf);
+  } else {
+    return false;
+  }
+  return true;
+}
 /// Both bounds finite and min <= max.
 bool FiniteInterval(const ValueInterval& iv);
-/// Every row has start <= end <= num_cells and a finite ordered
-/// interval and size sum (else names `row_key`).
+/// Validates a subfield table against a store of `num_cells` cells (else
+/// names `row_key`): every row's hull has finite ordered bounds and a
+/// finite size sum, and the rows partition the store — start_0 = 0,
+/// start_{i+1} = end_i, end_last = num_cells, no row empty — when the
+/// method keeps a partition (`partitioned`), or there are none when it
+/// does not. Updates locate a cell's subfield by binary search over
+/// this partition.
+template <int D>
 void CheckSubfieldRows(CatalogReader* r, std::string_view row_key,
-                       const std::vector<Subfield>& rows, uint64_t num_cells);
+                       const std::vector<SubfieldOf<D>>& rows,
+                       uint64_t num_cells, bool partitioned) {
+  uint64_t covered = 0;
+  for (const SubfieldOf<D>& sf : rows) {
+    bool finite = std::isfinite(sf.sum_interval_sizes);
+    for (int d = 0; d < D; ++d) {
+      finite = finite && FiniteInterval(ValueInterval{
+                             SummaryLo(sf.interval, d),
+                             SummaryHi(sf.interval, d)});
+    }
+    if (!r->Check(finite && sf.start == covered && sf.start < sf.end,
+                  row_key)) {
+      return;
+    }
+    covered = sf.end;
+  }
+  r->Check(covered == (partitioned ? num_cells : 0), row_key);
+}
 
 /// Page-range checks against the opened page file, run before Open
 /// sizes anything from the catalog's counts; kCorruption names `key`.

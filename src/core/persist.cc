@@ -31,7 +31,7 @@ struct MetaData {
   Rect2 domain;
   uint64_t build_entries = 0;
   std::optional<RStarMeta> spatial;
-  SubfieldTable subfields;
+  SubfieldTable<1> subfields;
 };
 
 /// Parses and range-validates the catalog: the parser proves it is
@@ -74,7 +74,10 @@ StatusOr<MetaData> ReadMeta(const std::string& path) {
               std::isfinite(meta.domain.hi.y),
           "domain");
   r.Check(meta.subfields.declared == meta.subfields.rows.size(), "subfields");
-  CheckSubfieldRows(&r, "sf", meta.subfields.rows, meta.header.num_cells);
+  const IndexMethod method = static_cast<IndexMethod>(meta.header.method);
+  CheckSubfieldRows(&r, "sf", meta.subfields.rows, meta.header.num_cells,
+                    method == IndexMethod::kIHilbert ||
+                        method == IndexMethod::kIntervalQuadtree);
   FIELDDB_RETURN_IF_ERROR(r.status());
   return meta;
 }
@@ -204,36 +207,37 @@ StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Open(
   info.tree_height = header.tree ? header.tree->height : 0;
   info.tree_nodes = header.tree ? header.tree->num_nodes : 0;
 
+  StatusOr<RStarTree<1>> tree = Status::Internal("no value tree");
+  if (method != IndexMethod::kLinearScan) {
+    tree = RStarTree<1>::Attach(pool, *header.tree);
+    if (!tree.ok()) return tree.status();
+  }
   switch (method) {
     case IndexMethod::kLinearScan:
       db->index_ =
           LinearScanIndex::Attach(std::move(store).value(), info);
       break;
-    case IndexMethod::kIAll: {
-      db->index_ = IAllIndex::Attach(
-          std::move(store).value(),
-          RStarTree<1>::Attach(pool, *header.tree), info);
+    case IndexMethod::kIAll:
+      db->index_ = IAllIndex::Attach(std::move(store).value(),
+                                     std::move(tree).value(), info);
       break;
-    }
-    case IndexMethod::kIHilbert: {
+    case IndexMethod::kIHilbert:
       db->index_ = IHilbertIndex::Attach(
-          std::move(store).value(),
-          RStarTree<1>::Attach(pool, *header.tree),
+          std::move(store).value(), std::move(tree).value(),
           std::move(meta->subfields.rows), info);
       break;
-    }
-    case IndexMethod::kIntervalQuadtree: {
+    case IndexMethod::kIntervalQuadtree:
       db->index_ = IntervalQuadtreeIndex::Attach(
-          std::move(store).value(),
-          RStarTree<1>::Attach(pool, *header.tree),
+          std::move(store).value(), std::move(tree).value(),
           std::move(meta->subfields.rows), info);
       break;
-    }
     default:
       return Status::Corruption("unknown index method in catalog");
   }
   if (meta->spatial) {
-    db->spatial_.emplace(RStarTree<2>::Attach(pool, *meta->spatial));
+    StatusOr<RStarTree<2>> spatial = RStarTree<2>::Attach(pool, *meta->spatial);
+    if (!spatial.ok()) return spatial.status();
+    db->spatial_.emplace(std::move(spatial).value());
   }
   // Planning is a pure function of the attached index state, so a
   // reopened snapshot plans exactly like the database that saved it.

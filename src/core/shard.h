@@ -91,7 +91,7 @@ class Shard {
   /// contributes nothing to `query` — the query misses the shard's
   /// value hull, or the shard planner's selectivity probe was EXACT and
   /// predicted zero candidates. A sampled probe (stores above
-  /// QueryPlanner::kExactProbeCells) can undercount, so it never skips.
+  /// kExactProbeCells) can undercount, so it never skips.
   /// Increments this shard's skip counter when it says no.
   bool MayContain(const ValueInterval& query) const;
 

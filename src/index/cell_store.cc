@@ -29,9 +29,7 @@ Status CellStore::Appender::Append(const CellRecord& record) {
     return Status::InvalidArgument("order is not a permutation");
   }
   store_.position_of_[record.id] = pos_;
-  const ValueInterval iv = record.Interval();
-  store_.zone_min_[pos_] = iv.min;
-  store_.zone_max_[pos_] = iv.max;
+  store_.zones_.Append(record.Interval());
   pin_.MutablePage().Write(slot * sizeof(CellRecord), &record,
                            sizeof(CellRecord));
   ++pos_;
@@ -90,9 +88,7 @@ StatusOr<CellStore> CellStore::Attach(BufferPool* pool, PageId first_page,
         // A record no Build wrote ends the scan (the id check fails).
         if (cell.num_vertices > 4) return false;
         if (cell.id < num_cells) store.position_of_[cell.id] = pos;
-        const ValueInterval iv = cell.Interval();
-        store.zone_min_[pos] = iv.min;
-        store.zone_max_[pos] = iv.max;
+        store.zones_.Append(cell.Interval());
         return true;
       }));
   for (const uint64_t pos : store.position_of_) {
@@ -137,9 +133,7 @@ Status CellStore::Put(uint64_t pos, const CellRecord& record) {
   FIELDDB_RETURN_IF_ERROR(pool_->Fetch(page, &pin));
   pin.MutablePage().Write(slot * sizeof(CellRecord), &record,
                           sizeof(CellRecord));
-  const ValueInterval iv = record.Interval();
-  zone_min_[pos] = iv.min;
-  zone_max_[pos] = iv.max;
+  zones_.Set(pos, record.Interval());
   return Status::OK();
 }
 
@@ -167,8 +161,7 @@ Status CellStore::UpdateValues(uint64_t pos,
   *new_iv = record.Interval();
   pin.MutablePage().Write(slot * sizeof(CellRecord), &record,
                           sizeof(CellRecord));
-  zone_min_[pos] = new_iv->min;
-  zone_max_[pos] = new_iv->max;
+  zones_.Set(pos, *new_iv);
   return Status::OK();
 }
 
@@ -176,25 +169,6 @@ Status CellStore::Scan(
     uint64_t begin, uint64_t end,
     const std::function<bool(uint64_t, const CellRecord&)>& visit) const {
   return ScanWith(begin, end, visit);
-}
-
-CellStore::ZoneProbe CellStore::ProbeZoneMap(const ValueInterval& query,
-                                             uint64_t stride) const {
-  ZoneProbe probe;
-  if (stride == 0) stride = 1;
-  bool prev_matched = false;
-  for (uint64_t pos = 0; pos < num_cells_; pos += stride) {
-    ++probe.sampled;
-    // Same predicate as the SIMD kernels: NaN zones never match.
-    const bool match =
-        zone_min_[pos] <= query.max && zone_max_[pos] >= query.min;
-    if (match) {
-      ++probe.matched;
-      if (!prev_matched) ++probe.run_starts;
-    }
-    prev_matched = match;
-  }
-  return probe;
 }
 
 }  // namespace fielddb

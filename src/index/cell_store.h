@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "field/cell.h"
 #include "field/field.h"
+#include "index/zone_map.h"
 #include "storage/buffer_pool.h"
 
 namespace fielddb {
@@ -21,16 +22,15 @@ namespace fielddb {
 /// Positions are 0-based slots in storage order; `FieldCellId(pos)` maps a
 /// slot back to the field's cell id (it is written inside each record).
 ///
-/// Alongside the pages the store keeps an in-memory SoA *zone map*: one
-/// min[] and one max[] double per slot, in storage order, always equal to
-/// the slot's record interval. The filter step runs its SIMD
-/// interval-intersection kernel over these contiguous arrays and never
-/// deserializes a record for a non-matching slot. The zone map is derived
-/// state — Build fills it from the field, Attach rebuilds it from the
-/// records it already scans, Put/UpdateValues maintain it — so nothing
-/// about the page format or persistence changes. Concurrency contract is
-/// the pages': any number of readers, writers externally excluded
-/// (DESIGN.md §11).
+/// Alongside the pages the store keeps its ZoneMap<1>: per slot, in
+/// storage order, the record's value interval in SoA min/max planes. The
+/// filter step runs its SIMD interval-intersection kernel over those
+/// contiguous planes and never deserializes a record for a non-matching
+/// slot. The zone map is derived state — Build fills it from the field,
+/// Attach rebuilds it from the records it already scans, Put/UpdateValues
+/// maintain it — so nothing about the page format or persistence
+/// changes. Concurrency contract is the pages': any number of readers,
+/// writers externally excluded (DESIGN.md §11).
 class CellStore {
  public:
   /// Serializes `field`'s cells into `pool`'s file, visiting them in the
@@ -188,9 +188,7 @@ class CellStore {
       }
       if (begin == end) continue;
       matches.clear();
-      simd::FilterIntervalRanges(zone_min_.data() + begin,
-                                 zone_max_.data() + begin, end - begin, begin,
-                                 query.min, query.max, &matches);
+      zones_.FilterRanges(query, begin, end, &matches);
       if (skipped != nullptr) {
         *skipped += (end - begin) - TotalRangeLength(matches);
       }
@@ -230,35 +228,10 @@ class CellStore {
     return Status::OK();
   }
 
-  /// Runs the dispatched SIMD kernel over the whole zone map, appending
-  /// the runs of slots whose interval intersects `query`. Pure in-memory
-  /// work: no page I/O, no record deserialization.
-  void FilterZoneMap(const ValueInterval& query,
-                     std::vector<PosRange>* out) const {
-    simd::FilterIntervalRanges(zone_min_.data(), zone_max_.data(), num_cells_,
-                               0, query.min, query.max, out);
-  }
-
-  /// Strided zone-map sample, the planner's sublinear selectivity probe
-  /// for stores too large for an exact FilterZoneMap sweep: tests every
-  /// `stride`-th slot (stride 0 behaves as 1) against `query`.
-  struct ZoneProbe {
-    uint64_t sampled = 0;     // slots tested
-    uint64_t matched = 0;     // tested slots intersecting the query
-    uint64_t run_starts = 0;  // matches whose previous sample missed —
-                              // an estimate of the candidate run count
-  };
-  ZoneProbe ProbeZoneMap(const ValueInterval& query, uint64_t stride) const;
-
-  /// The SoA zone map: per-slot record-interval bounds in storage order.
-  const std::vector<double>& zone_min() const { return zone_min_; }
-  const std::vector<double>& zone_max() const { return zone_max_; }
-
-  /// The zone entry of slot `pos` as an interval (equals the record's
-  /// Interval() at all times).
-  ValueInterval ZoneIntervalOf(uint64_t pos) const {
-    return ValueInterval{zone_min_[pos], zone_max_[pos]};
-  }
+  /// The zone map: per-slot record intervals in storage order (each
+  /// entry equals the slot's record Interval() at all times). Filtering
+  /// it is pure in-memory work: no page I/O, no record deserialization.
+  const ZoneMap<1>& zone_map() const { return zones_; }
 
   /// Slot position of a field cell id (inverse of the build order).
   uint64_t PositionOf(CellId field_cell_id) const {
@@ -270,16 +243,16 @@ class CellStore {
             uint32_t cells_per_page, std::vector<uint64_t> position_of)
       : pool_(pool), first_page_(first_page), num_cells_(num_cells),
         cells_per_page_(cells_per_page),
-        position_of_(std::move(position_of)),
-        zone_min_(num_cells), zone_max_(num_cells) {}
+        position_of_(std::move(position_of)) {
+    zones_.Reserve(num_cells);
+  }
 
   BufferPool* pool_;
   PageId first_page_;
   uint64_t num_cells_;
   uint32_t cells_per_page_;
   std::vector<uint64_t> position_of_;
-  std::vector<double> zone_min_;
-  std::vector<double> zone_max_;
+  ZoneMap<1> zones_;
 };
 
 class CellStore::Appender {

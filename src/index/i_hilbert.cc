@@ -94,13 +94,8 @@ StatusOr<std::unique_ptr<IHilbertIndex>> IHilbertIndex::Build(
     if (options.bulk_load) {
       // Subfields are already in Hilbert order, which is exactly the
       // packing order Kamel & Faloutsos [14] prescribe.
-      std::vector<RTreeEntry<1>> entries(subfields.size());
-      for (size_t i = 0; i < subfields.size(); ++i) {
-        entries[i].box = BoxFromInterval(subfields[i].interval);
-        entries[i].a = subfields[i].start;
-        entries[i].b = subfields[i].end;
-      }
-      return RStarTree<1>::BulkLoad(pool, entries, options.rstar);
+      return RStarTree<1>::BulkLoad(pool, SubfieldEntries(subfields),
+                                    options.rstar);
     }
     StatusOr<RStarTree<1>> t = RStarTree<1>::Create(pool, options.rstar);
     if (!t.ok()) return t.status();
@@ -140,7 +135,8 @@ Status IHilbertIndex::UpdateCellValues(CellId id,
       ApplyValueUpdate(&store_, pos, values, &old_iv, &new_iv));
   if (new_iv != old_iv) {
     FIELDDB_RETURN_IF_ERROR(
-        RefreshSubfieldAfterUpdate(store_, &tree_, &subfields_, pos));
+        RefreshSubfieldHull(store_.zone_map(), &tree_, &subfields_, pos,
+                            SubfieldEntry<1>));
   }
   return Status::OK();
 }

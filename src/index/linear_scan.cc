@@ -55,7 +55,7 @@ Status LinearScanIndex::FilterCandidateRanges(
   // deserialization. (Production LinearScan *queries* still read every
   // store page — FieldDatabase fuses filter+estimate into a single page
   // pass, as the paper's cost model requires; see RunFuseOp.)
-  store_.FilterZoneMap(query, ranges);
+  store_.zone_map().FilterRanges(query, ranges);
   return Status::OK();
 }
 

@@ -6,63 +6,70 @@
 
 namespace fielddb {
 
-SubfieldCostModel::SubfieldCostModel(const ValueInterval& value_range,
-                                     const SubfieldCostConfig& config)
-    : config_(config) {
-  range_size_ = value_range.IsEmpty() ? 1.0 : value_range.PaperSize();
-  if (range_size_ <= 0.0) range_size_ = 1.0;
+template <int D>
+SubfieldCostModelOf<D>::SubfieldCostModelOf(
+    const ValueSummary<D>& value_range, const SubfieldCostConfig& config) {
+  for (int d = 0; d < D; ++d) {
+    double range = value_range.IsEmpty() ? 1.0
+                                         : SummaryHi(value_range, d) -
+                                               SummaryLo(value_range, d) + 1.0;
+    if (range <= 0.0) range = 1.0;
+    fixed_[d] = config.normalize ? config.avg_query_fraction * range : 0.0;
+  }
 }
 
-double SubfieldCostModel::Cost(const ValueInterval& interval,
-                               double sum_interval_sizes) const {
+template <int D>
+double SubfieldCostModelOf<D>::Cost(const ValueSummary<D>& hull,
+                                    double sum_interval_sizes) const {
   assert(sum_interval_sizes > 0.0);
-  // With normalization, C = (L/R + q̄) / (SI/R) = (L + q̄·R) / SI: the
-  // q̄·R term is the fixed access probability every subfield pays, which
-  // is what rewards grouping cells (it gets amortized over a larger SI).
-  const double fixed =
-      config_.normalize ? config_.avg_query_fraction * range_size_ : 0.0;
-  return (interval.PaperSize() + fixed) / sum_interval_sizes;
+  // With normalization, per component (L/R + q̄) = (L + q̄·R) / R, and the
+  // R factors cancel against SI's, leaving Π (L + q̄·R) / SI.
+  const bool empty = hull.IsEmpty();
+  double p = 1.0;
+  for (int d = 0; d < D; ++d) {
+    p *= (empty ? 0.0 : SummaryHi(hull, d) - SummaryLo(hull, d) + 1.0) +
+         fixed_[d];
+  }
+  return p / sum_interval_sizes;
 }
 
-bool SubfieldCostModel::ShouldAppend(const Subfield& current,
-                                     const ValueInterval& cell) const {
+template <int D>
+bool SubfieldCostModelOf<D>::ShouldAppend(const SubfieldOf<D>& current,
+                                          const ValueSummary<D>& cell) const {
   const double cost_before =
       Cost(current.interval, current.sum_interval_sizes);
-  const ValueInterval merged = ValueInterval::Hull(current.interval, cell);
+  ValueSummary<D> merged = current.interval;
+  merged.Extend(cell);
   const double cost_after =
-      Cost(merged, current.sum_interval_sizes + cell.PaperSize());
+      Cost(merged, current.sum_interval_sizes + SummarySize(cell));
   // Paper Section 3.1: "This insertion can be executed only if Ca > Cb";
   // on Ca <= Cb a new subfield starts.
   return cost_before > cost_after;
 }
 
-SubfieldStreamBuilder::SubfieldStreamBuilder(
-    const ValueInterval& value_range, const SubfieldCostConfig& config)
+template <int D>
+SubfieldStreamBuilderOf<D>::SubfieldStreamBuilderOf(
+    const ValueSummary<D>& value_range, const SubfieldCostConfig& config)
     : model_(value_range, config) {}
 
-void SubfieldStreamBuilder::Add(const ValueInterval& cell) {
+template <int D>
+void SubfieldStreamBuilderOf<D>::Add(const ValueSummary<D>& cell) {
   const uint64_t pos = num_cells_++;
-  if (pos == 0) {
-    current_.start = 0;
-    current_.end = 1;
-    current_.interval = cell;
-    current_.sum_interval_sizes = cell.PaperSize();
-    return;
-  }
-  if (model_.ShouldAppend(current_, cell)) {
+  if (pos > 0 && model_.ShouldAppend(current_, cell)) {
     current_.end = pos + 1;
     current_.interval.Extend(cell);
-    current_.sum_interval_sizes += cell.PaperSize();
-  } else {
-    subfields_.push_back(current_);
-    current_.start = pos;
-    current_.end = pos + 1;
-    current_.interval = cell;
-    current_.sum_interval_sizes = cell.PaperSize();
+    current_.sum_interval_sizes += SummarySize(cell);
+    return;
   }
+  if (pos > 0) subfields_.push_back(current_);
+  current_.start = pos;
+  current_.end = pos + 1;
+  current_.interval = cell;
+  current_.sum_interval_sizes = SummarySize(cell);
 }
 
-std::vector<Subfield> SubfieldStreamBuilder::Finish() {
+template <int D>
+std::vector<SubfieldOf<D>> SubfieldStreamBuilderOf<D>::Finish() {
   if (num_cells_ == 0) return std::move(subfields_);
   subfields_.push_back(current_);
 
@@ -75,18 +82,15 @@ std::vector<Subfield> SubfieldStreamBuilder::Finish() {
   reg.GetGauge("subfield.last_partition_size")
       ->Set(static_cast<double>(subfields_.size()));
   Histogram* sizes = reg.GetHistogram("subfield.cells_per_subfield");
-  for (const Subfield& sf : subfields_) {
+  for (const SubfieldOf<D>& sf : subfields_) {
     sizes->Record(static_cast<double>(sf.NumCells()));
   }
   return std::move(subfields_);
 }
 
-std::vector<Subfield> BuildSubfields(
-    const std::vector<ValueInterval>& cell_intervals,
-    const ValueInterval& value_range, const SubfieldCostConfig& config) {
-  SubfieldStreamBuilder builder(value_range, config);
-  for (const ValueInterval& cell : cell_intervals) builder.Add(cell);
-  return builder.Finish();
-}
+template class SubfieldCostModelOf<1>;
+template class SubfieldCostModelOf<2>;
+template class SubfieldStreamBuilderOf<1>;
+template class SubfieldStreamBuilderOf<2>;
 
 }  // namespace fielddb

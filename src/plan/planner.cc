@@ -44,55 +44,35 @@ StoreShape QueryPlanner::shape() const {
   return sh;
 }
 
-QueryPlanner::Selectivity QueryPlanner::Probe(
-    const ValueInterval& query, std::vector<PosRange>* runs) const {
-  Selectivity sel;
+Selectivity QueryPlanner::Probe(const ValueInterval& query,
+                                std::vector<PosRange>* runs) const {
   runs->clear();
-  const CellStore& store = index_->cell_store();
-  if (subfields_ != nullptr) {
-    // Subfield methods: the filter returns exactly the subfields whose
-    // interval intersects the query, so walking the in-memory table
-    // predicts the candidate runs perfectly — O(#subfields), no I/O.
-    uint64_t matched = 0;
-    for (const Subfield& sf : *subfields_) {
-      if (sf.end <= sf.start || !sf.interval.Intersects(query)) continue;
-      ++matched;
-      if (!runs->empty() && sf.start <= runs->back().end) {
-        runs->back().end = std::max(runs->back().end, sf.end);
-      } else {
-        runs->push_back(PosRange{sf.start, sf.end});
-      }
+  if (subfields_ == nullptr) {
+    // Per-cell methods (I-All, Row-IP): the index's entries are the
+    // records' own intervals, so the store's zone map predicts the
+    // filter output exactly (sampled above kExactProbeCells).
+    return ProbeZoneMap(index_->cell_store().zone_map(), query, runs);
+  }
+  // Subfield methods: the filter returns exactly the subfields whose
+  // interval intersects the query, so walking the in-memory table
+  // predicts the candidate runs perfectly — O(#subfields), no I/O.
+  Selectivity sel;
+  uint64_t matched = 0;
+  for (const Subfield& sf : *subfields_) {
+    if (sf.end <= sf.start || !sf.interval.Intersects(query)) continue;
+    ++matched;
+    if (!runs->empty() && sf.start <= runs->back().end) {
+      runs->back().end = std::max(runs->back().end, sf.end);
+    } else {
+      runs->push_back(PosRange{sf.start, sf.end});
     }
-    sel.candidates = TotalRangeLength(*runs);
-    sel.runs = runs->size();
-    sel.entry_fraction =
-        subfields_->empty()
-            ? 0.0
-            : static_cast<double>(matched) / subfields_->size();
-    return sel;
   }
-  // Per-cell methods (I-All, Row-IP): the index's entries are the
-  // records' own intervals, so the zone-map sidecar predicts the filter
-  // output exactly. Above kExactProbeCells, fall back to the strided
-  // sample to keep planning sublinear in the store size.
-  if (store.size() <= kExactProbeCells) {
-    store.FilterZoneMap(query, runs);
-    sel.candidates = TotalRangeLength(*runs);
-    sel.runs = runs->size();
-  } else {
-    const uint64_t stride =
-        (store.size() + kExactProbeCells - 1) / kExactProbeCells;
-    const CellStore::ZoneProbe probe = store.ProbeZoneMap(query, stride);
-    sel.sampled = true;
-    sel.candidates =
-        std::min<uint64_t>(store.size(), probe.matched * stride);
-    sel.runs = std::max<uint64_t>(probe.run_starts,
-                                  probe.matched > 0 ? 1 : 0);
-  }
+  sel.candidates = TotalRangeLength(*runs);
+  sel.runs = runs->size();
   sel.entry_fraction =
-      store.size() > 0
-          ? static_cast<double>(sel.candidates) / store.size()
-          : 0.0;
+      subfields_->empty()
+          ? 0.0
+          : static_cast<double>(matched) / subfields_->size();
   return sel;
 }
 
@@ -149,50 +129,27 @@ SharedScanDecision QueryPlanner::CostSharedScan(
   return d;
 }
 
-PhysicalPlan QueryPlanner::Plan(const ValueInterval& query,
-                                PlannerMode mode) const {
+PhysicalPlan PriceProbedPlan(const StoreShape& shape,
+                             const PlanCostModel& cost, PlannerMode mode,
+                             const Selectivity& sel,
+                             const std::vector<PosRange>& runs,
+                             const PagePattern& filter) {
   PhysicalPlan plan;
-  const StoreShape sh = shape();
-  plan.scan_pattern = cost_.ScanPattern(sh);
-  plan.scan_cost_ms = cost_.CostMs(plan.scan_pattern);
-
-  if (index_->method() == IndexMethod::kLinearScan) {
-    plan.kind = PlanKind::kFusedScan;
-    plan.predicted_cost_ms = plan.scan_cost_ms;
-    plan.reason = "LinearScan: no value index, fused scan is the only plan";
-    return plan;
-  }
-  if (mode == PlannerMode::kForceScan) {
-    plan.kind = PlanKind::kFusedScan;
-    plan.predicted_cost_ms = plan.scan_cost_ms;
-    plan.reason = "forced: fused scan";
-    return plan;
-  }
-
-  std::vector<PosRange> runs;
-  Selectivity sel;
-  {
-    // The probe is the only part of planning whose cost scales with the
-    // index (zone-map walk / subfield-table scan); give it its own span
-    // so planner time is attributable when the trace buffer is on.
-    TraceScope probe_span("plan.probe", "plan");
-    sel = Probe(query, &runs);
-    probe_span.set_items(sel.candidates);
-  }
+  plan.scan_pattern = cost.ScanPattern(shape);
+  plan.scan_cost_ms = cost.CostMs(plan.scan_pattern);
   plan.probed = true;
   plan.probe_sampled = sel.sampled;
   plan.predicted_candidates = sel.candidates;
   plan.predicted_runs = sel.runs;
   plan.selectivity =
-      sh.num_cells > 0
-          ? static_cast<double>(sel.candidates) / sh.num_cells
+      shape.num_cells > 0
+          ? static_cast<double>(sel.candidates) / shape.num_cells
           : 0.0;
-  plan.index_pattern = FilterPattern(sel);
-  plan.index_pattern += sel.sampled
-                            ? cost_.ApproxFetchPattern(sh, sel.candidates,
-                                                       sel.runs)
-                            : cost_.FetchPattern(sh, runs);
-  plan.index_cost_ms = cost_.CostMs(plan.index_pattern);
+  plan.index_pattern = filter;
+  plan.index_pattern +=
+      sel.sampled ? cost.ApproxFetchPattern(shape, sel.candidates, sel.runs)
+                  : cost.FetchPattern(shape, runs);
+  plan.index_cost_ms = cost.CostMs(plan.index_pattern);
 
   if (mode == PlannerMode::kForceIndex) {
     plan.kind = PlanKind::kIndexedFilter;
@@ -216,6 +173,26 @@ PhysicalPlan QueryPlanner::Plan(const ValueInterval& query,
                 plan.selectivity * 100.0);
   plan.reason = buf;
   return plan;
+}
+
+PhysicalPlan QueryPlanner::Plan(const ValueInterval& query,
+                                PlannerMode mode) const {
+  return PricePlan(
+      shape(), cost_, mode, index_->method() != IndexMethod::kLinearScan,
+      [&](std::vector<PosRange>* runs, PagePattern* filter) {
+        Selectivity sel;
+        {
+          // The probe is the only part of planning whose cost scales
+          // with the index (zone-map walk / subfield-table scan); give
+          // it its own span so planner time is attributable when the
+          // trace buffer is on.
+          TraceScope probe_span("plan.probe", "plan");
+          sel = Probe(query, runs);
+          probe_span.set_items(sel.candidates);
+        }
+        *filter = FilterPattern(sel);
+        return sel;
+      });
 }
 
 }  // namespace fielddb

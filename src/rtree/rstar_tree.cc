@@ -53,10 +53,25 @@ StatusOr<RStarTree<Dim>> RStarTree<Dim>::Create(BufferPool* pool,
 }
 
 template <int Dim>
-RStarTree<Dim> RStarTree<Dim>::Attach(BufferPool* pool, const RStarMeta& meta,
-                                      const RStarOptions& options) {
+StatusOr<RStarTree<Dim>> RStarTree<Dim>::Attach(BufferPool* pool,
+                                                const RStarMeta& meta,
+                                                const RStarOptions& options) {
   RStarTree tree(pool, options);
   tree.meta_ = meta;
+  PinnedPage pin;
+  if (!pool->Fetch(meta.root, &pin).ok()) return tree;
+  const uint32_t level = pin.page().template ReadAt<uint32_t>(0);
+  const uint32_t count = pin.page().template ReadAt<uint32_t>(4);
+  // A leaf root holds every entry; an internal root has between one
+  // child and one per entry.
+  const bool count_ok = level == 0 ? count == meta.size
+                                   : count >= 1 && count <= meta.size;
+  if (uint64_t{level} + 1 != meta.height || count > tree.max_entries_ ||
+      !count_ok) {
+    return Status::Corruption("page " + std::to_string(meta.root) +
+                              " is not the root of a height-" +
+                              std::to_string(meta.height) + " R*-tree");
+  }
   return tree;
 }
 

@@ -66,9 +66,16 @@ class RStarTree {
   static StatusOr<RStarTree> Create(BufferPool* pool,
                                     const RStarOptions& options = {});
 
-  /// Re-attaches to an existing tree in `pool`'s page file.
-  static RStarTree Attach(BufferPool* pool, const RStarMeta& meta,
-                          const RStarOptions& options = {});
+  /// Re-attaches to an existing tree in `pool`'s page file. The root page
+  /// is read once: kCorruption unless its level is `meta.height - 1` and
+  /// its entry count fits a node and `meta.size` (all entries in a leaf
+  /// root, 1..size children otherwise), so a catalog naming some other page
+  /// (a store page, a child node) fails here instead of answering
+  /// queries from it. A root page that cannot be read at all (checksum,
+  /// I/O) is left to the query path, which reports the error and
+  /// degrades to a scan; Scrub lists the page.
+  static StatusOr<RStarTree> Attach(BufferPool* pool, const RStarMeta& meta,
+                                    const RStarOptions& options = {});
 
   /// Bulk-loads from leaf entries *already sorted by the caller* (for the
   /// paper's workloads: by Hilbert value, per Kamel & Faloutsos [14]).

@@ -1,9 +1,11 @@
 #ifndef FIELDDB_STORAGE_RECORD_STORE_H_
 #define FIELDDB_STORAGE_RECORD_STORE_H_
 
+#include <algorithm>
 #include <functional>
 #include <vector>
 
+#include "common/simd/interval_filter.h"
 #include "common/status.h"
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
@@ -121,6 +123,37 @@ class RecordStore {
             sizeof(T));
         if (!visit(pos, record)) return Status::OK();
       }
+    }
+    return Status::OK();
+  }
+
+  /// The indexed fetch of the extension stores: visits every slot covered
+  /// by `runs` — a subfield index's hits, in any order and possibly
+  /// overlapping — exactly once, in ascending position order, adding
+  /// the slots visited to `*candidates`. Sorts `runs` in place. A
+  /// visitor returning false stops the whole fetch.
+  template <typename Visitor>
+  Status ScanCoveredRuns(std::vector<PosRange>* runs, uint64_t* candidates,
+                         Visitor&& visit) const {
+    std::sort(runs->begin(), runs->end(),
+              [](const PosRange& x, const PosRange& y) {
+                return x.begin < y.begin ||
+                       (x.begin == y.begin && x.end < y.end);
+              });
+    bool stopped = false;
+    uint64_t covered_to = 0;
+    for (const PosRange& r : *runs) {
+      const uint64_t begin = std::max(r.begin, covered_to);
+      if (begin < r.end) {
+        *candidates += r.end - begin;
+        FIELDDB_RETURN_IF_ERROR(
+            Scan(begin, r.end, [&](uint64_t pos, const T& record) {
+              stopped = !visit(pos, record);
+              return !stopped;
+            }));
+        if (stopped) return Status::OK();
+      }
+      covered_to = std::max(covered_to, r.end);
     }
     return Status::OK();
   }

@@ -84,7 +84,8 @@ StatusOr<TemporalMetaData> ReadTemporalMeta(const std::string& path) {
   r.Check(meta.slab_first_pages.size() == meta.header.num_slabs, "slab");
   r.Check(declared_subfields == parsed_subfields, "subfields");
   for (const std::vector<Subfield>& sfs : meta.slab_subfields) {
-    CheckSubfieldRows(&r, "tsf", sfs, meta.header.num_cells);
+    CheckSubfieldRows(&r, "tsf", sfs, meta.header.num_cells,
+                      /*partitioned=*/true);
   }
   FIELDDB_RETURN_IF_ERROR(r.status());
   return meta;
@@ -178,14 +179,7 @@ TemporalFieldDatabase::Build(const TemporalGridField& field,
     slab.subfields = costing.Finish();
 
     for (size_t si = 0; si < slab.subfields.size(); ++si) {
-      RTreeEntry<2> e;
-      e.box.lo = {slab.subfields[si].interval.min,
-                  static_cast<double>(k)};
-      e.box.hi = {slab.subfields[si].interval.max,
-                  static_cast<double>(k + 1)};
-      e.a = k;
-      e.b = si;
-      entries.push_back(e);
+      entries.push_back(SlabSubfieldEntry(k, si, slab.subfields[si]));
     }
     db->total_subfields_ += slab.subfields.size();
     db->slabs_.push_back(std::move(slab));
@@ -308,8 +302,9 @@ StatusOr<std::unique_ptr<TemporalFieldDatabase>> TemporalFieldDatabase::Open(
       return Status::Corruption("temporal store is missing cell ids");
     }
   }
-  db->tree_ = std::make_unique<RStarTree<2>>(
-      RStarTree<2>::Attach(pool, *header.tree));
+  StatusOr<RStarTree<2>> tree = RStarTree<2>::Attach(pool, *header.tree);
+  if (!tree.ok()) return tree.status();
+  db->tree_ = std::make_unique<RStarTree<2>>(std::move(tree).value());
 
   // Recovery: a frame carries the snapshot index in values[0] followed
   // by the vertex samples; logical redo through the same apply path
@@ -370,29 +365,21 @@ Status TemporalFieldDatabase::UpdateSlabSide(
 
   // Refresh the containing subfield's value hull; the time extent
   // [k, k+1] of the tree entry never changes.
-  const size_t si = SubfieldContaining(slab.subfields, pos);
-  Subfield& sf = slab.subfields[si];
-  ValueInterval hull = ValueInterval::Empty();
-  double sum_sizes = 0.0;
-  FIELDDB_RETURN_IF_ERROR(slab.store->Scan(
-      sf.start, sf.end, [&](uint64_t, const VectorCellRecord& member) {
-        const ValueInterval iv = SlabInterval(member);
-        hull.Extend(iv);
-        sum_sizes += iv.PaperSize();
-        return true;
-      }));
-  if (hull != sf.interval) {
-    Box<2> old_box, new_box;
-    old_box.lo = {sf.interval.min, static_cast<double>(k)};
-    old_box.hi = {sf.interval.max, static_cast<double>(k + 1)};
-    new_box.lo = {hull.min, static_cast<double>(k)};
-    new_box.hi = {hull.max, static_cast<double>(k + 1)};
-    FIELDDB_RETURN_IF_ERROR(tree_->Delete(old_box, k, si));
-    FIELDDB_RETURN_IF_ERROR(tree_->Insert(new_box, k, si));
-    sf.interval = hull;
-  }
-  sf.sum_interval_sizes = sum_sizes;
-  return Status::OK();
+  return RefreshSubfieldHull(
+      slab.zones, tree_.get(), &slab.subfields, pos,
+      [k](size_t si, const Subfield& sf) {
+        return SlabSubfieldEntry(k, si, sf);
+      });
+}
+
+RTreeEntry<2> TemporalFieldDatabase::SlabSubfieldEntry(uint32_t k, size_t si,
+                                                      const Subfield& sf) {
+  RTreeEntry<2> e;
+  e.box.lo = {sf.interval.min, static_cast<double>(k)};
+  e.box.hi = {sf.interval.max, static_cast<double>(k + 1)};
+  e.a = k;
+  e.b = si;
+  return e;
 }
 
 Status TemporalFieldDatabase::ApplySnapshotCellValues(
@@ -444,17 +431,10 @@ Status TemporalFieldDatabase::UpdateSnapshotCellValues(
 
 PhysicalPlan TemporalFieldDatabase::ChoosePlan(
     uint32_t k, const ValueInterval& band) const {
-  const Slab& slab = slabs_[k];
-  std::vector<PosRange> runs;
-  slab.zones.FilterRanges(band, &runs);
-  StoreShape shape;
-  shape.num_cells = slab.store->size();
-  shape.cells_per_page = slab.store->records_per_page();
-  shape.store_pages = slab.store->num_pages();
-  const ExtStorePlanner planner(shape,
-                                tree_ != nullptr ? tree_->height() : 0);
-  return planner.Choose(runs, planner_mode_.load(std::memory_order_relaxed),
-                        tree_ != nullptr);
+  return PlanRecordStoreQuery(*slabs_[k].store, slabs_[k].zones, band,
+                              tree_ != nullptr,
+                              tree_ != nullptr ? tree_->height() : 0,
+                              planner_mode());
 }
 
 PhysicalPlan TemporalFieldDatabase::PlanSnapshotQuery(
@@ -529,28 +509,18 @@ Status TemporalFieldDatabase::SnapshotValueQuery(double t,
     Box<2> query;
     query.lo = {band.min, t};
     query.hi = {band.max, t};
-    std::vector<std::pair<uint64_t, uint64_t>> ranges;
+    std::vector<PosRange> runs;
     FIELDDB_RETURN_IF_ERROR(
         tree_->Search(query, [&](const RTreeEntry<2>& e) {
           if (e.a == k) {  // integer t also brushes the previous slab
             const Subfield& sf = slabs_[k].subfields[e.b];
-            ranges.emplace_back(sf.start, sf.end);
+            runs.push_back(PosRange{sf.start, sf.end});
           }
           return true;
         }));
-    std::sort(ranges.begin(), ranges.end());
-
-    uint64_t covered_to = 0;
-    for (const auto& [start, end] : ranges) {
-      const uint64_t begin = std::max(start, covered_to);
-      if (begin < end) {
-        out->stats.candidate_cells += end - begin;
-        FIELDDB_RETURN_IF_ERROR(
-            slabs_[k].store->Scan(begin, end, visit_cell));
-        FIELDDB_RETURN_IF_ERROR(inner);
-      }
-      covered_to = std::max(covered_to, end);
-    }
+    FIELDDB_RETURN_IF_ERROR(slabs_[k].store->ScanCoveredRuns(
+        &runs, &out->stats.candidate_cells, visit_cell));
+    FIELDDB_RETURN_IF_ERROR(inner);
   }
 
   out->stats.wall_seconds =

@@ -12,8 +12,8 @@
 #include "core/field_engine.h"
 #include "curve/curves.h"
 #include "index/subfield.h"
-#include "index/zone_sidecar.h"
-#include "plan/ext_planner.h"
+#include "index/zone_map.h"
+#include "plan/planner.h"
 #include "rtree/rstar_tree.h"
 #include "storage/page_file.h"
 #include "storage/record_store.h"
@@ -54,7 +54,7 @@ class TemporalFieldDatabase {
     std::function<std::unique_ptr<PageFile>(uint32_t page_size)>
         page_file_factory;
     /// Initial access-path policy for snapshot queries (see
-    /// ExtStorePlanner).
+    /// PlanRecordStoreQuery).
     PlannerMode planner_mode = PlannerMode::kAuto;
     /// Durability for UpdateSnapshotCellValues (DESIGN.md §14). Requires
     /// `wal_path`; use `<prefix>.wal` for the prefix the database will
@@ -137,7 +137,7 @@ class TemporalFieldDatabase {
   uint64_t num_subfields() const { return total_subfields_; }
   uint64_t num_cells() const { return pos_of_.size(); }
   BufferPool& pool() { return *engine_.pool(); }
-  const ScalarZoneMap& slab_zone_map(uint32_t k) const {
+  const ZoneMap<1>& slab_zone_map(uint32_t k) const {
     return slabs_[k].zones;
   }
   WriteAheadLog* wal() const { return engine_.wal(); }
@@ -170,7 +170,7 @@ class TemporalFieldDatabase {
     std::vector<Subfield> subfields;
     /// In-RAM per-slot slab value intervals: the planner's zero-I/O
     /// selectivity probe (rebuilt on Open, maintained on update).
-    ScalarZoneMap zones;
+    ZoneMap<1> zones;
   };
 
   Status SaveImpl(const std::string& prefix, SnapshotCrashPoint crash_point);
@@ -188,6 +188,10 @@ class TemporalFieldDatabase {
                         const std::vector<double>& values);
 
   PhysicalPlan ChoosePlan(uint32_t k, const ValueInterval& band) const;
+  /// The tree entry of slab `k`'s subfield number `si`: its value hull
+  /// over the slab's time extent [k, k+1], keyed (k, si).
+  static RTreeEntry<2> SlabSubfieldEntry(uint32_t k, size_t si,
+                                         const Subfield& sf);
   void MaybeLogSlowQuery(double t, const ValueInterval& band,
                          const QueryStats& stats,
                          const PhysicalPlan& plan) const;

@@ -8,6 +8,7 @@
 #include "core/catalog.h"
 #include "core/ext_sort.h"
 #include "curve/hilbert.h"
+#include "index/subfield_maintenance.h"
 
 namespace fielddb {
 
@@ -18,124 +19,30 @@ constexpr CatalogKind kVectorCatalog{
 
 struct VectorMetaData {
   StoreHeader header;
-  std::vector<VectorSubfield> subfields;
+  SubfieldTable<2> subfields;
 };
 
 StatusOr<VectorMetaData> ReadVectorMeta(const std::string& path) {
   CatalogReader r(path);
   FIELDDB_RETURN_IF_ERROR(r.Load(kVectorCatalog.magic));
   VectorMetaData meta;
-  uint64_t declared_subfields = 0;
   while (r.NextKey()) {
-    if (ReadHeaderKey(&r, kVectorCatalog, &meta.header)) continue;
-    const std::string_view k = r.key();
-    if (k == "subfields") {
-      r.Read(&declared_subfields);
-    } else if (k == "sfv") {
-      VectorSubfield sf;
-      if (r.Read(&sf.start, &sf.end, &sf.box.lo[0], &sf.box.lo[1],
-                 &sf.box.hi[0], &sf.box.hi[1], &sf.sum_box_sizes)) {
-        meta.subfields.push_back(sf);
-      }
-    } else {
-      r.FailUnknownKey();
+    if (ReadHeaderKey(&r, kVectorCatalog, &meta.header) ||
+        ReadSubfieldKey(&r, "sfv", &meta.subfields)) {
+      continue;
     }
+    r.FailUnknownKey();
   }
   CheckHeader(&r, kVectorCatalog, meta.header);
-  r.Check(declared_subfields == meta.subfields.size(), "subfields");
-  for (const VectorSubfield& sf : meta.subfields) {
-    r.Check(sf.start <= sf.end && sf.end <= meta.header.num_cells &&
-                FiniteInterval({sf.box.lo[0], sf.box.hi[0]}) &&
-                FiniteInterval({sf.box.lo[1], sf.box.hi[1]}) &&
-                std::isfinite(sf.sum_box_sizes),
-            "sfv");
-  }
+  r.Check(meta.subfields.declared == meta.subfields.rows.size(), "subfields");
+  CheckSubfieldRows(&r, "sfv", meta.subfields.rows, meta.header.num_cells,
+                    meta.header.method ==
+                        static_cast<int>(VectorIndexMethod::kIHilbert));
   FIELDDB_RETURN_IF_ERROR(r.status());
   return meta;
 }
 
-ValueInterval BoxUInterval(const Box<2>& b) {
-  return ValueInterval{b.lo[0], b.hi[0]};
-}
-ValueInterval BoxVInterval(const Box<2>& b) {
-  return ValueInterval{b.lo[1], b.hi[1]};
-}
-
 }  // namespace
-
-VectorSubfieldCostModel::VectorSubfieldCostModel(
-    const Box<2>& value_range, const VectorCostConfig& config)
-    : config_(config) {
-  range_u_ = value_range.IsEmpty()
-                 ? 1.0
-                 : value_range.hi[0] - value_range.lo[0] + 1.0;
-  range_v_ = value_range.IsEmpty()
-                 ? 1.0
-                 : value_range.hi[1] - value_range.lo[1] + 1.0;
-  if (range_u_ <= 0) range_u_ = 1.0;
-  if (range_v_ <= 0) range_v_ = 1.0;
-}
-
-double VectorSubfieldCostModel::Cost(const Box<2>& box,
-                                     double sum_box_sizes) const {
-  // (Lu + q̄·Ru)(Lv + q̄·Rv) / SI — the scale-free form of
-  // (Lu' + q̄)(Lv' + q̄) / SI' with normalized extents.
-  const double q = config_.avg_query_fraction;
-  const double pu = (box.hi[0] - box.lo[0] + 1.0) + q * range_u_;
-  const double pv = (box.hi[1] - box.lo[1] + 1.0) + q * range_v_;
-  return pu * pv / sum_box_sizes;
-}
-
-bool VectorSubfieldCostModel::ShouldAppend(const VectorSubfield& current,
-                                           const Box<2>& cell_box) const {
-  const double before = Cost(current.box, current.sum_box_sizes);
-  Box<2> merged = current.box;
-  merged.Extend(cell_box);
-  const double after =
-      Cost(merged, current.sum_box_sizes + BoxPaperSize(cell_box));
-  return before > after;
-}
-
-VectorSubfieldStreamBuilder::VectorSubfieldStreamBuilder(
-    const Box<2>& value_range, const VectorCostConfig& config)
-    : model_(value_range, config) {}
-
-void VectorSubfieldStreamBuilder::Add(const Box<2>& cell_box) {
-  const double size = (cell_box.hi[0] - cell_box.lo[0] + 1.0) *
-                      (cell_box.hi[1] - cell_box.lo[1] + 1.0);
-  const uint64_t pos = num_cells_++;
-  if (pos == 0) {
-    current_.start = 0;
-    current_.end = 1;
-    current_.box = cell_box;
-    current_.sum_box_sizes = size;
-    return;
-  }
-  if (model_.ShouldAppend(current_, cell_box)) {
-    current_.end = pos + 1;
-    current_.box.Extend(cell_box);
-    current_.sum_box_sizes += size;
-  } else {
-    subfields_.push_back(current_);
-    current_.start = pos;
-    current_.end = pos + 1;
-    current_.box = cell_box;
-    current_.sum_box_sizes = size;
-  }
-}
-
-std::vector<VectorSubfield> VectorSubfieldStreamBuilder::Finish() {
-  if (num_cells_ > 0) subfields_.push_back(current_);
-  return std::move(subfields_);
-}
-
-std::vector<VectorSubfield> BuildVectorSubfields(
-    const std::vector<Box<2>>& cell_boxes, const Box<2>& value_range,
-    const VectorCostConfig& config) {
-  VectorSubfieldStreamBuilder builder(value_range, config);
-  for (const Box<2>& box : cell_boxes) builder.Add(box);
-  return builder.Finish();
-}
 
 const char* VectorIndexMethodName(VectorIndexMethod method) {
   switch (method) {
@@ -180,7 +87,7 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Build(
   db->pos_of_.assign(n, 0);
   db->zones_.Reserve(n);
   RecordStoreAppender<VectorCellRecord> appender(pool);
-  VectorSubfieldStreamBuilder costing(field.ValueRangeBox(), options.cost);
+  SubfieldStreamBuilderOf<2> costing(field.ValueRangeBox(), options.cost);
   FIELDDB_RETURN_IF_ERROR(
       sorter.Merge([&](uint64_t, const CellId& id) -> Status {
         const VectorCellRecord record =
@@ -188,7 +95,7 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Build(
         db->pos_of_[id] = appender.size();
         FIELDDB_RETURN_IF_ERROR(appender.Append(record));
         const Box<2> box = record.ValueBox();
-        db->zones_.Append(BoxUInterval(box), BoxVInterval(box));
+        db->zones_.Append(box);
         costing.Add(box);
         return Status::OK();
       }));
@@ -201,14 +108,8 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Build(
 
   if (options.method == VectorIndexMethod::kIHilbert) {
     db->subfields_ = costing.Finish();
-    std::vector<RTreeEntry<2>> entries(db->subfields_.size());
-    for (size_t i = 0; i < db->subfields_.size(); ++i) {
-      entries[i].box = db->subfields_[i].box;
-      entries[i].a = db->subfields_[i].start;
-      entries[i].b = db->subfields_[i].end;
-    }
-    StatusOr<RStarTree<2>> tree =
-        RStarTree<2>::BulkLoad(pool, entries, options.rstar);
+    StatusOr<RStarTree<2>> tree = RStarTree<2>::BulkLoad(
+        pool, SubfieldEntries(db->subfields_), options.rstar);
     if (!tree.ok()) return tree.status();
     db->tree_ = std::make_unique<RStarTree<2>>(std::move(tree).value());
   }
@@ -247,11 +148,7 @@ Status VectorFieldDatabase::SaveImpl(const std::string& prefix,
                              .num_cells = store_->size(),
                              .store_first_page = store_->first_page()});
         if (tree_ != nullptr) w.Line("tree", tree_->meta());
-        w.Line("subfields", static_cast<uint64_t>(subfields_.size()));
-        for (const VectorSubfield& sf : subfields_) {
-          w.Line("sfv", sf.start, sf.end, sf.box.lo[0], sf.box.lo[1],
-                 sf.box.hi[0], sf.box.hi[1], sf.sum_box_sizes);
-        }
+        WriteSubfields<2>(&w, "sfv", subfields_);
         return w.Commit(meta_tmp_path);
       });
 }
@@ -290,10 +187,11 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Open(
   if (!store.ok()) return store.status();
   db->store_ = std::make_unique<RecordStore<VectorCellRecord>>(
       std::move(store).value());
-  db->subfields_ = std::move(meta->subfields);
-  if (header.tree) {
-    db->tree_ = std::make_unique<RStarTree<2>>(
-        RStarTree<2>::Attach(pool, *header.tree));
+  db->subfields_ = std::move(meta->subfields.rows);
+  if (db->method_ == VectorIndexMethod::kIHilbert) {
+    StatusOr<RStarTree<2>> tree = RStarTree<2>::Attach(pool, *header.tree);
+    if (!tree.ok()) return tree.status();
+    db->tree_ = std::make_unique<RStarTree<2>>(std::move(tree).value());
   }
 
   // One store pass rebuilds both in-RAM sidecars: the cell-id ->
@@ -306,8 +204,7 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Open(
         // A record no Build wrote ends the scan (the id check fails).
         if (rec.num_vertices > 4) return false;
         if (rec.id < n) db->pos_of_[rec.id] = pos;
-        const Box<2> box = rec.ValueBox();
-        db->zones_.Append(BoxUInterval(box), BoxVInterval(box));
+        db->zones_.Append(rec.ValueBox());
         return true;
       }));
   for (const uint64_t pos : db->pos_of_) {
@@ -395,53 +292,19 @@ Status VectorFieldDatabase::ApplyCellValues(CellId id,
     cell.v[i] = v[i];
   }
   FIELDDB_RETURN_IF_ERROR(store_->Put(pos, cell));
-  const Box<2> new_box = cell.ValueBox();
-  zones_.Set(pos, BoxUInterval(new_box), BoxVInterval(new_box));
+  zones_.Set(pos, cell.ValueBox());
   if (tree_ == nullptr) return Status::OK();
-
-  // Refresh the containing subfield's value-box hull (the no-false-
-  // negative invariant: every member cell's box stays covered).
-  const auto it = std::upper_bound(
-      subfields_.begin(), subfields_.end(), pos,
-      [](uint64_t p, const VectorSubfield& sf) { return p < sf.end; });
-  if (it == subfields_.end() || pos < it->start) {
-    return Status::Internal("no subfield covers updated cell position");
-  }
-  VectorSubfield& sf = *it;
-  Box<2> hull = Box<2>::Empty();
-  double sum_sizes = 0.0;
-  FIELDDB_RETURN_IF_ERROR(store_->Scan(
-      sf.start, sf.end, [&](uint64_t, const VectorCellRecord& member) {
-        const Box<2> b = member.ValueBox();
-        hull.Extend(b);
-        sum_sizes += (b.hi[0] - b.lo[0] + 1.0) * (b.hi[1] - b.lo[1] + 1.0);
-        return true;
-      }));
-  const bool hull_changed = hull.lo[0] != sf.box.lo[0] ||
-                            hull.hi[0] != sf.box.hi[0] ||
-                            hull.lo[1] != sf.box.lo[1] ||
-                            hull.hi[1] != sf.box.hi[1];
-  if (hull_changed) {
-    FIELDDB_RETURN_IF_ERROR(tree_->Delete(sf.box, sf.start, sf.end));
-    FIELDDB_RETURN_IF_ERROR(tree_->Insert(hull, sf.start, sf.end));
-    sf.box = hull;
-  }
-  sf.sum_box_sizes = sum_sizes;
-  return Status::OK();
+  // Keep the containing subfield's value box covering every member.
+  return RefreshSubfieldHull(zones_, tree_.get(), &subfields_, pos,
+                             SubfieldEntry<2>);
 }
 
 PhysicalPlan VectorFieldDatabase::ChoosePlan(
     const VectorBandQuery& query) const {
-  std::vector<PosRange> runs;
-  zones_.FilterRanges(query.u, query.v, &runs);
-  StoreShape shape;
-  shape.num_cells = store_->size();
-  shape.cells_per_page = store_->records_per_page();
-  shape.store_pages = store_->num_pages();
-  const ExtStorePlanner planner(shape,
-                                tree_ != nullptr ? tree_->height() : 0);
-  return planner.Choose(runs, planner_mode_.load(std::memory_order_relaxed),
-                        tree_ != nullptr);
+  return PlanRecordStoreQuery(*store_, zones_, query.AsBox(),
+                              tree_ != nullptr,
+                              tree_ != nullptr ? tree_->height() : 0,
+                              planner_mode());
 }
 
 PhysicalPlan VectorFieldDatabase::PlanBandQuery(
@@ -504,23 +367,15 @@ Status VectorFieldDatabase::BandQuery(const VectorBandQuery& query,
     FIELDDB_RETURN_IF_ERROR(store_->Scan(0, store_->size(), visit_cell));
     FIELDDB_RETURN_IF_ERROR(inner);
   } else {
-    std::vector<std::pair<uint64_t, uint64_t>> ranges;
+    std::vector<PosRange> runs;
     FIELDDB_RETURN_IF_ERROR(
         tree_->Search(query.AsBox(), [&](const RTreeEntry<2>& e) {
-          ranges.emplace_back(e.a, e.b);
+          runs.push_back(PosRange{e.a, e.b});
           return true;
         }));
-    std::sort(ranges.begin(), ranges.end());
-    uint64_t covered_to = 0;
-    for (const auto& [start, end] : ranges) {
-      const uint64_t begin = std::max(start, covered_to);
-      if (begin < end) {
-        out->stats.candidate_cells += end - begin;
-        FIELDDB_RETURN_IF_ERROR(store_->Scan(begin, end, visit_cell));
-        FIELDDB_RETURN_IF_ERROR(inner);
-      }
-      covered_to = std::max(covered_to, end);
-    }
+    FIELDDB_RETURN_IF_ERROR(store_->ScanCoveredRuns(
+        &runs, &out->stats.candidate_cells, visit_cell));
+    FIELDDB_RETURN_IF_ERROR(inner);
   }
 
   out->stats.wall_seconds =

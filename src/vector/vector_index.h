@@ -11,8 +11,9 @@
 #include "core/stats.h"
 #include "curve/curves.h"
 #include "field/region.h"
-#include "index/zone_sidecar.h"
-#include "plan/ext_planner.h"
+#include "index/subfield.h"
+#include "index/zone_map.h"
+#include "plan/planner.h"
 #include "rtree/rstar_tree.h"
 #include "storage/page_file.h"
 #include "storage/record_store.h"
@@ -21,77 +22,6 @@
 #include "vector/vector_record.h"
 
 namespace fielddb {
-
-/// A subfield of a vector field: a Hilbert-contiguous run of cells with
-/// the 2-D MBR of their (u, v) values. Generalizes the scalar Subfield.
-struct VectorSubfield {
-  uint64_t start = 0;
-  uint64_t end = 0;
-  Box<2> box = Box<2>::Empty();
-  double sum_box_sizes = 0.0;  // Σ per-cell PaperSize(u) * PaperSize(v)
-
-  uint64_t NumCells() const { return end - start; }
-};
-
-/// Cost model generalizing Section 3.1 to 2-D value boxes, after the 2-D
-/// case of Kamel & Faloutsos [14]: a box with normalized extents
-/// (Lu, Lv) is touched by the average box query with probability
-/// P = (Lu + q̄)(Lv + q̄); the subfield cost is C = P / SI with SI the
-/// sum of member cells' value-box sizes.
-struct VectorCostConfig {
-  double avg_query_fraction = 0.5;
-};
-
-class VectorSubfieldCostModel {
- public:
-  VectorSubfieldCostModel(const Box<2>& value_range,
-                          const VectorCostConfig& config);
-
-  double Cost(const Box<2>& box, double sum_box_sizes) const;
-  bool ShouldAppend(const VectorSubfield& current,
-                    const Box<2>& cell_box) const;
-
- private:
-  static double BoxPaperSize(const Box<2>& b) {
-    return (b.hi[0] - b.lo[0] + 1.0) * (b.hi[1] - b.lo[1] + 1.0);
-  }
-
-  VectorCostConfig config_;
-  double range_u_;
-  double range_v_;
-};
-
-/// Streaming vector-subfield partitioner — the 2-D sibling of
-/// SubfieldStreamBuilder: cell value boxes arrive one at a time in
-/// curve order (the external-sort merge feeds it without materializing
-/// all boxes) and Finish() seals the last subfield. BuildVectorSubfields
-/// is a thin wrapper, so streamed and vector builds produce identical
-/// partitions by construction.
-class VectorSubfieldStreamBuilder {
- public:
-  VectorSubfieldStreamBuilder(const Box<2>& value_range,
-                              const VectorCostConfig& config);
-
-  /// Appends the next cell's value box, growing the open subfield or
-  /// sealing it per the paper's insertion rule.
-  void Add(const Box<2>& cell_box);
-
-  /// Seals the open subfield and returns the partition. The builder is
-  /// consumed.
-  std::vector<VectorSubfield> Finish();
-
- private:
-  VectorSubfieldCostModel model_;
-  std::vector<VectorSubfield> subfields_;
-  VectorSubfield current_;
-  uint64_t num_cells_ = 0;
-};
-
-/// Greedy grouping of curve-ordered cell value boxes, same insertion
-/// rule as the scalar builder.
-std::vector<VectorSubfield> BuildVectorSubfields(
-    const std::vector<Box<2>>& cell_boxes, const Box<2>& value_range,
-    const VectorCostConfig& config);
 
 /// Query-processing methods for vector fields.
 enum class VectorIndexMethod {
@@ -106,13 +36,14 @@ struct VectorQueryResult {
   Region region;
   QueryStats stats;
   /// The planner's decision this query executed (2-D box zone-map probe
-  /// + disk-model costing; see plan/ext_planner.h).
+  /// + disk-model costing; see PlanRecordStoreQuery in plan/planner.h).
   PhysicalPlan plan;
 };
 
 /// A self-contained vector-field database: cells clustered in Hilbert
 /// order in paged storage, indexed (optionally) by a 2-D R*-tree over
-/// subfield value boxes.
+/// subfield value boxes — the D=2 instance of the subfield builder, zone
+/// map and hull maintenance the scalar fields use (index/subfield.h).
 ///
 /// Hosted on the shared FieldEngine (core/field_engine.h): storage,
 /// WAL-backed updates, crash-safe Save/Open and the event log are the
@@ -124,7 +55,8 @@ class VectorFieldDatabase {
     VectorIndexMethod method = VectorIndexMethod::kIHilbert;
     CurveType curve = CurveType::kHilbert;
     int curve_order = 16;
-    VectorCostConfig cost;
+    /// Subfield cost model, applied per value component.
+    SubfieldCostConfig cost;
     uint32_t page_size = kDefaultPageSize;
     size_t pool_pages = 1024;
     RStarOptions rstar;
@@ -132,7 +64,8 @@ class VectorFieldDatabase {
     /// tests wrap the file to schedule faults against the live database.
     std::function<std::unique_ptr<PageFile>(uint32_t page_size)>
         page_file_factory;
-    /// Initial access-path policy for band queries (see ExtStorePlanner).
+    /// Initial access-path policy for band queries (see
+    /// PlanRecordStoreQuery).
     PlannerMode planner_mode = PlannerMode::kAuto;
     /// Durability for UpdateCellValues (DESIGN.md §14). Requires
     /// `wal_path`; use `<prefix>.wal` for the prefix the database will
@@ -199,13 +132,11 @@ class VectorFieldDatabase {
   /// Simulated power cut (tests): everything not fsynced is gone.
   Status SimulateCrashForTest() { return engine_.SimulateCrashForTest(); }
 
-  const std::vector<VectorSubfield>& subfields() const {
-    return subfields_;
-  }
+  const std::vector<SubfieldOf<2>>& subfields() const { return subfields_; }
   uint64_t num_cells() const { return store_->size(); }
   VectorIndexMethod method() const { return method_; }
   BufferPool& pool() { return *engine_.pool(); }
-  const BoxZoneMap& zone_map() const { return zones_; }
+  const ZoneMap<2>& zone_map() const { return zones_; }
   WriteAheadLog* wal() const { return engine_.wal(); }
   EventLog* event_log() const { return engine_.event_log(); }
   uint32_t epoch() const { return engine_.epoch(); }
@@ -249,10 +180,10 @@ class VectorFieldDatabase {
   VectorIndexMethod method_ = VectorIndexMethod::kIHilbert;
   std::unique_ptr<RecordStore<VectorCellRecord>> store_;
   std::unique_ptr<RStarTree<2>> tree_;  // null for LinearScan
-  std::vector<VectorSubfield> subfields_;
+  std::vector<SubfieldOf<2>> subfields_;
   /// In-RAM per-slot (u, v) value boxes: the planner's zero-I/O
   /// selectivity probe (rebuilt on Open, maintained on update).
-  BoxZoneMap zones_;
+  ZoneMap<2> zones_;
   /// Store position of each field cell id (inverse of the build order).
   std::vector<uint64_t> pos_of_;
   std::atomic<PlannerMode> planner_mode_{PlannerMode::kAuto};

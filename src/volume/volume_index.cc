@@ -22,7 +22,7 @@ struct VolumeMetaData {
   StoreHeader header;
   double voxel_volume = 0.0;
   ValueInterval value_range;
-  SubfieldTable subfields;
+  SubfieldTable<1> subfields;
 };
 
 StatusOr<VolumeMetaData> ReadVolumeMeta(const std::string& path) {
@@ -48,7 +48,9 @@ StatusOr<VolumeMetaData> ReadVolumeMeta(const std::string& path) {
           "voxel_volume");
   r.Check(FiniteInterval(meta.value_range), "value_range");
   r.Check(meta.subfields.declared == meta.subfields.rows.size(), "subfields");
-  CheckSubfieldRows(&r, "sf", meta.subfields.rows, meta.header.num_cells);
+  CheckSubfieldRows(&r, "sf", meta.subfields.rows, meta.header.num_cells,
+                    meta.header.method ==
+                        static_cast<int>(VolumeIndexMethod::kIHilbert));
   FIELDDB_RETURN_IF_ERROR(r.status());
   return meta;
 }
@@ -121,14 +123,8 @@ StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Build(
 
   if (options.method == VolumeIndexMethod::kIHilbert) {
     db->subfields_ = costing.Finish();
-    std::vector<RTreeEntry<1>> entries(db->subfields_.size());
-    for (size_t i = 0; i < db->subfields_.size(); ++i) {
-      entries[i].box = BoxFromInterval(db->subfields_[i].interval);
-      entries[i].a = db->subfields_[i].start;
-      entries[i].b = db->subfields_[i].end;
-    }
-    StatusOr<RStarTree<1>> tree =
-        RStarTree<1>::BulkLoad(pool, entries, options.rstar);
+    StatusOr<RStarTree<1>> tree = RStarTree<1>::BulkLoad(
+        pool, SubfieldEntries(db->subfields_), options.rstar);
     if (!tree.ok()) return tree.status();
     db->tree_ = std::make_unique<RStarTree<1>>(std::move(tree).value());
   }
@@ -169,7 +165,7 @@ Status VolumeFieldDatabase::SaveImpl(const std::string& prefix,
         w.Line("voxel_volume", voxel_volume_);
         w.Line("value_range", value_range_.min, value_range_.max);
         if (tree_ != nullptr) w.Line("tree", tree_->meta());
-        WriteSubfields(&w, "sf", subfields_);
+        WriteSubfields<1>(&w, "sf", subfields_);
         return w.Commit(meta_tmp_path);
       });
 }
@@ -210,9 +206,10 @@ StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Open(
   db->store_ =
       std::make_unique<RecordStore<VoxelRecord>>(std::move(store).value());
   db->subfields_ = std::move(meta->subfields.rows);
-  if (header.tree) {
-    db->tree_ = std::make_unique<RStarTree<1>>(
-        RStarTree<1>::Attach(pool, *header.tree));
+  if (db->method_ == VolumeIndexMethod::kIHilbert) {
+    StatusOr<RStarTree<1>> tree = RStarTree<1>::Attach(pool, *header.tree);
+    if (!tree.ok()) return tree.status();
+    db->tree_ = std::make_unique<RStarTree<1>>(std::move(tree).value());
   }
 
   // One store pass rebuilds both in-RAM sidecars: the voxel-id ->
@@ -289,43 +286,15 @@ Status VolumeFieldDatabase::ApplyVoxelValues(VoxelId id,
   zones_.Set(pos, iv);
   value_range_.Extend(iv);
   if (tree_ == nullptr) return Status::OK();
-
-  // Refresh the containing subfield's interval hull, same maintenance
-  // rule as the 2-D scalar index (RefreshSubfieldAfterUpdate).
-  const size_t si = SubfieldContaining(subfields_, pos);
-  Subfield& sf = subfields_[si];
-  ValueInterval hull = ValueInterval::Empty();
-  double sum_sizes = 0.0;
-  FIELDDB_RETURN_IF_ERROR(store_->Scan(
-      sf.start, sf.end, [&](uint64_t, const VoxelRecord& member) {
-        const ValueInterval member_iv = member.Interval();
-        hull.Extend(member_iv);
-        sum_sizes += member_iv.PaperSize();
-        return true;
-      }));
-  if (hull != sf.interval) {
-    FIELDDB_RETURN_IF_ERROR(
-        tree_->Delete(BoxFromInterval(sf.interval), sf.start, sf.end));
-    FIELDDB_RETURN_IF_ERROR(
-        tree_->Insert(BoxFromInterval(hull), sf.start, sf.end));
-    sf.interval = hull;
-  }
-  sf.sum_interval_sizes = sum_sizes;
-  return Status::OK();
+  return RefreshSubfieldHull(zones_, tree_.get(), &subfields_, pos,
+                             SubfieldEntry<1>);
 }
 
 PhysicalPlan VolumeFieldDatabase::ChoosePlan(
     const ValueInterval& band) const {
-  std::vector<PosRange> runs;
-  zones_.FilterRanges(band, &runs);
-  StoreShape shape;
-  shape.num_cells = store_->size();
-  shape.cells_per_page = store_->records_per_page();
-  shape.store_pages = store_->num_pages();
-  const ExtStorePlanner planner(shape,
-                                tree_ != nullptr ? tree_->height() : 0);
-  return planner.Choose(runs, planner_mode_.load(std::memory_order_relaxed),
-                        tree_ != nullptr);
+  return PlanRecordStoreQuery(*store_, zones_, band, tree_ != nullptr,
+                              tree_ != nullptr ? tree_->height() : 0,
+                              planner_mode());
 }
 
 PhysicalPlan VolumeFieldDatabase::PlanBandQuery(
@@ -380,22 +349,14 @@ Status VolumeFieldDatabase::BandQuery(const ValueInterval& band,
     out->stats.candidate_cells = store_->size();
     FIELDDB_RETURN_IF_ERROR(store_->Scan(0, store_->size(), visit));
   } else {
-    std::vector<std::pair<uint64_t, uint64_t>> ranges;
+    std::vector<PosRange> runs;
     FIELDDB_RETURN_IF_ERROR(
         tree_->Search(BoxFromInterval(band), [&](const RTreeEntry<1>& e) {
-          ranges.emplace_back(e.a, e.b);
+          runs.push_back(PosRange{e.a, e.b});
           return true;
         }));
-    std::sort(ranges.begin(), ranges.end());
-    uint64_t covered_to = 0;
-    for (const auto& [start, end] : ranges) {
-      const uint64_t begin = std::max(start, covered_to);
-      if (begin < end) {
-        out->stats.candidate_cells += end - begin;
-        FIELDDB_RETURN_IF_ERROR(store_->Scan(begin, end, visit));
-      }
-      covered_to = std::max(covered_to, end);
-    }
+    FIELDDB_RETURN_IF_ERROR(
+        store_->ScanCoveredRuns(&runs, &out->stats.candidate_cells, visit));
   }
 
   out->stats.wall_seconds =

@@ -10,8 +10,8 @@
 #include "core/field_engine.h"
 #include "core/stats.h"
 #include "index/subfield.h"
-#include "index/zone_sidecar.h"
-#include "plan/ext_planner.h"
+#include "index/zone_map.h"
+#include "plan/planner.h"
 #include "rtree/rstar_tree.h"
 #include "storage/page_file.h"
 #include "storage/record_store.h"
@@ -34,8 +34,8 @@ struct VolumeQueryResult {
   double volume = 0.0;
   QueryStats stats;
   /// The planner's decision this query executed: zone-map probe +
-  /// disk-model costing (plan/ext_planner.h), same selection the grid
-  /// planner makes.
+  /// disk-model costing (PlanRecordStoreQuery in plan/planner.h), the
+  /// same pricer the grid planner uses.
   PhysicalPlan plan;
 };
 
@@ -62,7 +62,8 @@ class VolumeFieldDatabase {
     /// tests wrap the file to schedule faults against the live database.
     std::function<std::unique_ptr<PageFile>(uint32_t page_size)>
         page_file_factory;
-    /// Initial access-path policy for band queries (see ExtStorePlanner).
+    /// Initial access-path policy for band queries (see
+    /// PlanRecordStoreQuery).
     PlannerMode planner_mode = PlannerMode::kAuto;
     /// Durability for UpdateVoxelValues (DESIGN.md §14): every update is
     /// logged before it is applied and Open replays the log. Requires
@@ -136,7 +137,7 @@ class VolumeFieldDatabase {
   const ValueInterval& value_range() const { return value_range_; }
   VolumeIndexMethod method() const { return method_; }
   BufferPool& pool() { return *engine_.pool(); }
-  const ScalarZoneMap& zone_map() const { return zones_; }
+  const ZoneMap<1>& zone_map() const { return zones_; }
   WriteAheadLog* wal() const { return engine_.wal(); }
   EventLog* event_log() const { return engine_.event_log(); }
   uint32_t epoch() const { return engine_.epoch(); }
@@ -181,7 +182,7 @@ class VolumeFieldDatabase {
   std::vector<Subfield> subfields_;
   /// In-RAM per-slot value intervals: the planner's zero-I/O
   /// selectivity probe (rebuilt on Open, maintained on update).
-  ScalarZoneMap zones_;
+  ZoneMap<1> zones_;
   ValueInterval value_range_;
   double voxel_volume_ = 0.0;
   /// Store position of each voxel id (inverse of the Hilbert sort).

@@ -298,5 +298,142 @@ TEST(CatalogMutationTest, EveryMutationIsRejectedOrOpensClean) {
   for (const Fixture& f : *all) catalog_fixtures::RemoveSnapshot(f);
 }
 
+// ---------------------------------------------------------------------------
+// Targeted edits the random sweep only hits by chance: subfield rows that
+// no longer tile the store, and a value-tree root that names a store page.
+
+Status OpenStatus(const Fixture& f) {
+  switch (f.kind) {
+    case Kind::kGrid:
+      return FieldDatabase::Open(f.prefix).status();
+    case Kind::kTemporal:
+      return TemporalFieldDatabase::Open(f.prefix).status();
+    case Kind::kVector:
+      return VectorFieldDatabase::Open(f.prefix).status();
+    case Kind::kVolume:
+      return VolumeFieldDatabase::Open(f.prefix).status();
+    case Kind::kRouter:
+      return ShardRouter::Open(f.prefix, ShardRouter::OpenOptions{}).status();
+  }
+  return Status::Internal("unknown kind");
+}
+
+std::vector<std::string> Fields(const std::string& line) {
+  std::vector<std::string> out;
+  for (const auto& [b, e] : Tokens(line)) out.push_back(line.substr(b, e - b));
+  return out;
+}
+
+/// Applies `edit` to the fields of the `which`-th line whose key is `key`
+/// (negative `which` counts from the last such line).
+template <typename Edit>
+std::string EditLine(const std::string& catalog, const std::string& key,
+                     int which, Edit edit) {
+  std::vector<std::string> lines = Lines(catalog);
+  std::vector<size_t> rows;
+  for (size_t l = 0; l < lines.size(); ++l) {
+    const std::vector<std::string> fields = Fields(lines[l]);
+    if (!fields.empty() && fields[0] == key) rows.push_back(l);
+  }
+  if (rows.empty()) return catalog;
+  const size_t row =
+      which < 0 ? rows[rows.size() - static_cast<size_t>(-which)]
+                : rows[static_cast<size_t>(which)];
+  std::vector<std::string> fields = Fields(lines[row]);
+  edit(&fields);
+  std::string edited;
+  for (const std::string& field : fields) {
+    edited += (edited.empty() ? "" : " ") + field;
+  }
+  lines[row] = edited + "\n";
+  std::string out;
+  for (const std::string& line : lines) out += line;
+  return out;
+}
+
+/// Adds `delta` to numeric field `index` of a line's fields.
+auto AddTo(size_t index, int64_t delta) {
+  return [index, delta](std::vector<std::string>* fields) {
+    (*fields)[index] = std::to_string(std::stoll((*fields)[index]) + delta);
+  };
+}
+
+TEST(CatalogPartitionTest, SubfieldRowsThatDoNotTileTheStoreFailToOpen) {
+  const std::string dir = ::testing::TempDir() + "/catalog_partition";
+  std::filesystem::create_directories(dir);
+  StatusOr<std::vector<Fixture>> all = catalog_fixtures::SaveAllFixtures(dir);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+
+  const std::pair<const char*, const char*> targets[] = {
+      {"grid_i_hilbert", "sf"},    {"grid_i_quadtree", "sf"},
+      {"temporal", "tsf"},         {"vector_i_hilbert", "sfv"},
+      {"volume_i_hilbert", "sf"}};
+  int checked = 0;
+  for (const Fixture& f : *all) {
+    for (const auto& [name, key] : targets) {
+      if (f.name != name) continue;
+      const std::string original = catalog_fixtures::ReadFileBytes(f.catalog);
+      ASSERT_TRUE(OpenStatus(f).ok()) << f.name;
+      // `tsf` rows lead with their slab: start and end sit one further.
+      const size_t start = std::string(key) == "tsf" ? 2 : 1;
+      const std::pair<std::string, std::string> edits[] = {
+          {"shrunk last row", EditLine(original, key, -1, AddTo(start + 1, -1))},
+          {"gap before the second row",
+           EditLine(original, key, 1, AddTo(start, 1))}};
+      for (const auto& [label, bytes] : edits) {
+        ASSERT_NE(bytes, original) << f.name << ": " << label;
+        catalog_fixtures::WriteFileBytes(f.catalog, bytes);
+        EXPECT_EQ(OpenStatus(f).code(), StatusCode::kCorruption)
+            << f.name << ": " << label;
+        ++checked;
+      }
+      catalog_fixtures::WriteFileBytes(f.catalog, original);
+    }
+  }
+  EXPECT_EQ(checked, 10);
+  for (const Fixture& f : *all) catalog_fixtures::RemoveSnapshot(f);
+}
+
+TEST(CatalogPartitionTest, TreeRootNamingAStorePageFailsToOpen) {
+  const std::string dir = ::testing::TempDir() + "/catalog_tree_root";
+  std::filesystem::create_directories(dir);
+  StatusOr<std::vector<Fixture>> all = catalog_fixtures::SaveAllFixtures(dir);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+
+  int checked = 0;
+  for (const Fixture& f : *all) {
+    if (f.name != "grid_i_all" && f.name != "grid_i_hilbert" &&
+        f.name != "grid_i_quadtree" && f.name != "temporal" &&
+        f.name != "vector_i_hilbert" && f.name != "volume_i_hilbert") {
+      continue;
+    }
+    const std::string original = catalog_fixtures::ReadFileBytes(f.catalog);
+    ASSERT_TRUE(OpenStatus(f).ok()) << f.name;
+    // The store's first page: `store_first_page N`, or slab 0's `slab 0 N`.
+    std::string store_page;
+    for (const std::string& line : Lines(original)) {
+      const std::vector<std::string> fields = Fields(line);
+      if (fields.size() == 2 && fields[0] == "store_first_page") {
+        store_page = fields[1];
+      } else if (fields.size() == 3 && fields[0] == "slab" &&
+                 fields[1] == "0") {
+        store_page = fields[2];
+      }
+    }
+    ASSERT_FALSE(store_page.empty()) << f.name;
+    const std::string edited =
+        EditLine(original, "tree", 0, [&](std::vector<std::string>* fields) {
+          (*fields)[1] = store_page;
+        });
+    ASSERT_NE(edited, original) << f.name;
+    catalog_fixtures::WriteFileBytes(f.catalog, edited);
+    EXPECT_EQ(OpenStatus(f).code(), StatusCode::kCorruption) << f.name;
+    catalog_fixtures::WriteFileBytes(f.catalog, original);
+    ++checked;
+  }
+  EXPECT_EQ(checked, 6);
+  for (const Fixture& f : *all) catalog_fixtures::RemoveSnapshot(f);
+}
+
 }  // namespace
 }  // namespace fielddb

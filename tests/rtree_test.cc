@@ -340,12 +340,63 @@ TEST(RStarTreeTest, AttachReopensTree) {
   // A fresh pool over the same file, attached via persisted meta.
   ASSERT_TRUE(pool.Flush().ok());
   BufferPool pool2(&file, 256);
-  RStarTree<1> reopened = RStarTree<1>::Attach(&pool2, meta);
+  auto attached = RStarTree<1>::Attach(&pool2, meta);
+  ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+  const RStarTree<1>& reopened = *attached;
   ASSERT_TRUE(reopened.CheckInvariants().ok());
   for (int qi = 0; qi < 20; ++qi) {
     const Box<1> q = RandomBox<1>(rng, 0.2);
     EXPECT_EQ(TreeSearch(reopened, q), BruteForceSearch(entries, q));
   }
+}
+
+TEST(RStarTreeTest, AttachRejectsAPageThatIsNotTheRoot) {
+  MemPageFile file;
+  BufferPool pool(&file, 256);
+  Rng rng(19);
+  std::vector<RTreeEntry<1>> entries(400);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    entries[i].box = RandomBox<1>(rng, 0.05);
+    entries[i].a = i;
+  }
+  auto tree = RStarTree<1>::BulkLoad(&pool, entries);
+  ASSERT_TRUE(tree.ok());
+  const RStarMeta meta = tree->meta();
+  ASSERT_GT(meta.height, 1u);
+  ASSERT_TRUE(RStarTree<1>::Attach(&pool, meta).ok());
+
+  // The right root page under the wrong height.
+  for (const uint32_t height : {0u, meta.height - 1, meta.height + 1}) {
+    RStarMeta wrong = meta;
+    wrong.height = height;
+    EXPECT_EQ(RStarTree<1>::Attach(&pool, wrong).status().code(),
+              StatusCode::kCorruption)
+        << "height " << height;
+  }
+  // Another node of the tree (a leaf) named as the root.
+  PageId leaf = kInvalidPageId;
+  for (PageId p = 0; p < file.NumPages() && leaf == kInvalidPageId; ++p) {
+    PinnedPage node;
+    ASSERT_TRUE(pool.Fetch(p, &node).ok());
+    if (p != meta.root && node.page().ReadAt<uint32_t>(0) == 0) leaf = p;
+  }
+  ASSERT_NE(leaf, kInvalidPageId);
+  RStarMeta leaf_as_root = meta;
+  leaf_as_root.root = leaf;
+  EXPECT_EQ(RStarTree<1>::Attach(&pool, leaf_as_root).status().code(),
+            StatusCode::kCorruption);
+  // A page holding no node at all: level and count are record bytes.
+  PinnedPage pin;
+  StatusOr<PageId> junk = pool.Allocate(&pin);
+  ASSERT_TRUE(junk.ok());
+  for (uint32_t off = 0; off < 64; off += 8) {
+    pin.MutablePage().WriteAt<double>(off, 0.37 + off);
+  }
+  pin.Release();
+  RStarMeta junk_root = meta;
+  junk_root.root = *junk;
+  EXPECT_EQ(RStarTree<1>::Attach(&pool, junk_root).status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST(RStarTreeTest, BulkLoadEmptyAndTiny) {

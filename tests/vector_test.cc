@@ -260,13 +260,13 @@ TEST(VectorSubfieldTest, CostModelPrefersSimilarBoxes) {
   Box<2> range;
   range.lo = {0, 0};
   range.hi = {100, 100};
-  const VectorSubfieldCostModel model(range, {});
-  VectorSubfield sf;
-  sf.box.lo = {10, 10};
-  sf.box.hi = {20, 20};
-  sf.sum_box_sizes = 121.0;
+  const SubfieldCostModelOf<2> model(range, {});
+  SubfieldOf<2> sf;
+  sf.interval.lo = {10, 10};
+  sf.interval.hi = {20, 20};
+  sf.sum_interval_sizes = 121.0;
   // Identical box: SI doubles, P unchanged -> cost halves.
-  EXPECT_TRUE(model.ShouldAppend(sf, sf.box));
+  EXPECT_TRUE(model.ShouldAppend(sf, sf.interval));
   // A far-away box: P explodes.
   Box<2> far;
   far.lo = {90, 90};
@@ -286,19 +286,19 @@ TEST(VectorSubfieldTest, PartitionInvariants) {
     b.hi = {u + rng.NextDouble(), v + rng.NextDouble()};
     range.Extend(b);
   }
-  const auto sfs = BuildVectorSubfields(boxes, range, {});
+  const auto sfs = BuildSubfields(boxes, range, {});
   ASSERT_FALSE(sfs.empty());
   EXPECT_EQ(sfs.front().start, 0u);
   EXPECT_EQ(sfs.back().end, boxes.size());
   for (size_t i = 0; i + 1 < sfs.size(); ++i) {
     EXPECT_EQ(sfs[i].end, sfs[i + 1].start);
   }
-  for (const VectorSubfield& sf : sfs) {
+  for (const SubfieldOf<2>& sf : sfs) {
     Box<2> hull = Box<2>::Empty();
     for (uint64_t pos = sf.start; pos < sf.end; ++pos) {
       hull.Extend(boxes[pos]);
     }
-    EXPECT_EQ(sf.box, hull);
+    EXPECT_EQ(sf.interval, hull);
   }
 }
 
