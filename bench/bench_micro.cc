@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "curve/curves.h"
 #include "field/isoband.h"
@@ -139,6 +141,41 @@ void BM_CellIsoband(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CellIsoband);
+
+// The estimate layer over a 10k-quad band (100 x 100 unit quads, seeded
+// corner values, band [0.3, 0.7]): Arg(0) estimates into a fresh Region
+// per pass, so the vertex arena and offsets grow from empty; Arg(1)
+// clears and reuses one Region, so after the first pass no allocation
+// is left and only clipping and the arena copies are timed.
+void BM_CellIsobandBand(benchmark::State& state) {
+  const bool reuse = state.range(0) != 0;
+  Rng rng(16);
+  std::vector<CellRecord> cells;
+  for (int j = 0; j < 100; ++j) {
+    for (int i = 0; i < 100; ++i) {
+      const Point2 lo{static_cast<double>(i), static_cast<double>(j)};
+      const double ll = rng.NextDouble(), lr = rng.NextDouble();
+      const double ur = rng.NextDouble(), ul = rng.NextDouble();
+      cells.push_back(CellRecord::Quad(static_cast<CellId>(cells.size()),
+                                       Rect2{lo, lo + Point2{1, 1}}, ll, lr,
+                                       ur, ul));
+    }
+  }
+  const ValueInterval band{0.3, 0.7};
+  Region reused;
+  for (auto _ : state) {
+    Region fresh;
+    Region* region = reuse ? &reused : &fresh;
+    region->pieces.clear();
+    for (const CellRecord& cell : cells) {
+      benchmark::DoNotOptimize(CellIsoband(cell, band, region));
+    }
+    benchmark::DoNotOptimize(region->NumPieces());
+  }
+  state.SetItemsProcessed(state.iterations() * cells.size());
+  state.SetLabel(reuse ? "reused region" : "fresh region");
+}
+BENCHMARK(BM_CellIsobandBand)->Arg(0)->Arg(1);
 
 void BM_DiamondSquare(benchmark::State& state) {
   FractalOptions options;

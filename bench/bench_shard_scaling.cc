@@ -14,8 +14,10 @@
 //
 // The shard counts are measured in kRounds interleaved rounds
 // (1, 2, 4, 8, 1, 2, 4, 8, ...) against routers built and warmed once,
-// so a burst of host noise lands on every count alike; each count's
-// figure is its best round, and the gate compares best against best.
+// so a burst of host noise lands on every count alike. Each count's
+// reported QPS is its best round; its speedup is the median over rounds
+// of its QPS divided by the 1-shard QPS of the same round, so a slow or
+// fast 1-shard round moves only its own ratio, not every count's.
 //
 // Emits BENCH_shard_scaling.json with every round (schema validated by
 // tools/check_bench_json.py).
@@ -57,8 +59,9 @@ struct Round {
   uint64_t failed = 0;
 };
 
-// A shard count's summary: its best round (highest QPS), with failures
-// and admission waits summed over all rounds.
+// A shard count's summary: its best round (highest QPS), its median
+// same-round speedup over one shard, and failures and admission waits
+// summed over all rounds.
 struct ShardPoint {
   uint32_t shards = 0;
   Round best;
@@ -70,6 +73,14 @@ struct ShardPoint {
 
 void PrintError(const Status& s) {
   std::fprintf(stderr, "%s\n", s.ToString().c_str());
+}
+
+// Median of `v` (mean of the middle two for an even count; 0 if empty).
+double Median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2.0;
 }
 
 double Percentile(std::vector<double> sorted, double p) {
@@ -297,20 +308,26 @@ int main(int argc, char** argv) {
     }
   }
 
-  double qps_at_1 = 0.0;
+  const ShardPoint* one_shard = nullptr;
   for (ShardPoint& p : points) {
     for (const Round& r : p.rounds) {
       if (r.qps > p.best.qps) p.best = r;
       p.admission_waits += r.admission_waits;
       p.failed += r.failed;
     }
-    if (p.shards == 1) qps_at_1 = p.best.qps;
+    if (p.shards == 1) one_shard = &p;
   }
   for (ShardPoint& p : points) {
-    p.speedup_vs_1 = qps_at_1 > 0.0 ? p.best.qps / qps_at_1 : 0.0;
-    std::printf("shards=%u best qps=%9.1f speedup=%.2fx failed=%llu\n",
-                p.shards, p.best.qps, p.speedup_vs_1,
-                static_cast<unsigned long long>(p.failed));
+    std::vector<double> ratios;
+    for (int r = 0; r < kRounds && one_shard != nullptr; ++r) {
+      const double base = one_shard->rounds[r].qps;
+      ratios.push_back(base > 0.0 ? p.rounds[r].qps / base : 0.0);
+    }
+    p.speedup_vs_1 = Median(ratios);
+    std::printf(
+        "shards=%u best qps=%9.1f median speedup=%.2fx failed=%llu\n",
+        p.shards, p.best.qps, p.speedup_vs_1,
+        static_cast<unsigned long long>(p.failed));
     if (p.failed != 0) {
       std::fprintf(stderr, "shards=%u: %llu queries failed\n", p.shards,
                    static_cast<unsigned long long>(p.failed));

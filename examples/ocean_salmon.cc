@@ -44,7 +44,7 @@ StatusOr<GridField> MakeScalarField(uint64_t seed, double out_min,
 // Monte-Carlo area of the part of `piece` where `db`'s field value lies
 // in `band`. Cheap and good enough for reporting; the exact alternative
 // would clip the piece against the second field's cell structure.
-double ConjunctiveArea(const ConvexPolygon& piece, FieldDatabase& db,
+double ConjunctiveArea(PolygonView piece, FieldDatabase& db,
                        const ValueInterval& band) {
   const Rect2 bb = piece.BoundingBox();
   const int grid = 6;  // 36 samples per piece
@@ -125,7 +125,7 @@ int main() {
   // Step 3: conjunction — refine the (smaller) temperature region by the
   // salinity condition.
   double habitat_area = 0.0;
-  for (const ConvexPolygon& piece : temp_result.region.pieces) {
+  for (const PolygonView piece : temp_result.region.pieces) {
     habitat_area += ConjunctiveArea(piece, **sal_db, sal_band);
   }
   std::printf("salmon habitat: ~%.4f of the survey square (%.1f%%)\n",

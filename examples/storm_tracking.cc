@@ -80,7 +80,7 @@ int main() {
     Point2 centroid{0, 0};
     if (!result.region.IsEmpty()) {
       double area = 0;
-      for (const ConvexPolygon& piece : result.region.pieces) {
+      for (const PolygonView piece : result.region.pieces) {
         const double a = piece.Area();
         const Point2 c = piece.Centroid();
         centroid.x += c.x * a;

@@ -49,9 +49,11 @@ int main(int argc, char** argv) {
                                    "#ccbb44", "#ee6677", "#aa3377",
                                    "#bbbbbb", "#ee8866"};
   std::vector<SvgLayer> layers;
+  std::vector<PolygonList> outlines(subfields.size());
   const CellStore& store = (*db)->index().cell_store();
   for (size_t si = 0; si < subfields.size(); ++si) {
     SvgLayer layer;
+    layer.polygons = &outlines[si];
     layer.fill = kPalette[si % (sizeof(kPalette) / sizeof(kPalette[0]))];
     layer.stroke = "#333333";
     layer.fill_opacity = 0.8;
@@ -59,7 +61,7 @@ int main(int argc, char** argv) {
     for (uint64_t pos = subfields[si].start; pos < subfields[si].end;
          ++pos) {
       if (!store.Get(pos, &rec).ok()) continue;
-      layer.polygons.push_back(PolygonFromRect(rec.Bounds()));
+      outlines[si].Add(PolygonFromRect(rec.Bounds()).vertices);
     }
     layers.push_back(std::move(layer));
   }
@@ -71,7 +73,7 @@ int main(int argc, char** argv) {
   ValueQueryResult result;
   if ((*db)->ValueQuery(band, &result).ok()) {
     SvgLayer answer;
-    answer.polygons = result.region.pieces;
+    answer.polygons = &result.region.pieces;
     answer.fill = "#000000";
     answer.stroke = "#000000";
     answer.fill_opacity = 0.55;

@@ -53,17 +53,19 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(result.stats.io.logical_reads));
 
   // SVG: city triangles in grey, noisy regions in red.
+  PolygonList outlines;
+  for (CellId id = 0; id < city->NumCells(); ++id) {
+    const CellRecord cell = city->GetCell(id);
+    outlines.Add(CcwVertices(
+        Triangle2{{cell.Vertex(0), cell.Vertex(1), cell.Vertex(2)}}));
+  }
   SvgLayer triangles;
+  triangles.polygons = &outlines;
   triangles.fill = "#e8e8e8";
   triangles.stroke = "#bbbbbb";
   triangles.fill_opacity = 1.0;
-  for (CellId id = 0; id < city->NumCells(); ++id) {
-    const CellRecord cell = city->GetCell(id);
-    triangles.polygons.push_back(PolygonFromTriangle(
-        Triangle2{{cell.Vertex(0), cell.Vertex(1), cell.Vertex(2)}}));
-  }
   SvgLayer noisy_layer;
-  noisy_layer.polygons = result.region.pieces;
+  noisy_layer.polygons = &result.region.pieces;
   noisy_layer.fill = "#cc3311";
   noisy_layer.stroke = "#7a1f0a";
   noisy_layer.fill_opacity = 0.85;

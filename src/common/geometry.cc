@@ -25,7 +25,7 @@ bool Triangle2::Contains(Point2 p) const {
          !std::isnan(l[0]);
 }
 
-double ConvexPolygon::Area() const {
+double PolygonView::Area() const {
   if (IsEmpty()) return 0.0;
   double twice = 0.0;
   for (size_t i = 0; i < vertices.size(); ++i) {
@@ -36,7 +36,7 @@ double ConvexPolygon::Area() const {
   return std::abs(twice) / 2.0;
 }
 
-Point2 ConvexPolygon::Centroid() const {
+Point2 PolygonView::Centroid() const {
   if (vertices.empty()) return {0, 0};
   if (vertices.size() < 3) {
     Point2 sum{0, 0};
@@ -63,10 +63,38 @@ Point2 ConvexPolygon::Centroid() const {
   return {acc.x / (3.0 * twice_area), acc.y / (3.0 * twice_area)};
 }
 
-Rect2 ConvexPolygon::BoundingBox() const {
+Rect2 PolygonView::BoundingBox() const {
   Rect2 r = Rect2::Empty();
   for (const Point2& p : vertices) r.Extend(p);
   return r;
+}
+
+void PolygonList::Append(const PolygonList& other) {
+  const size_t base = vertices_.size();
+  const size_t first = ends_.size();
+  vertices_.insert(vertices_.end(), other.vertices_.begin(),
+                   other.vertices_.end());
+  ends_.insert(ends_.end(), other.ends_.begin(), other.ends_.end());
+  for (size_t i = first; i < ends_.size(); ++i) ends_[i] += base;
+}
+
+void PolygonList::Append(PolygonList&& other) {
+  if (!empty()) {
+    Append(other);
+  } else {
+    // Offsets of a list appended to an empty one need no rebasing.
+    if (vertices_.capacity() <= other.vertices_.capacity()) {
+      vertices_.swap(other.vertices_);
+    } else {
+      vertices_.assign(other.vertices_.begin(), other.vertices_.end());
+    }
+    if (ends_.capacity() <= other.ends_.capacity()) {
+      ends_.swap(other.ends_);
+    } else {
+      ends_.assign(other.ends_.begin(), other.ends_.end());
+    }
+  }
+  other.clear();
 }
 
 size_t ClipHalfPlane(const Point2* in, size_t count, Point2 n, double c,

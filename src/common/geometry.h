@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace fielddb {
@@ -118,10 +119,10 @@ struct Triangle2 {
   bool Contains(Point2 p) const;
 };
 
-/// A simple convex polygon, vertices in counter-clockwise order.
-/// Produced by the estimation step when clipping cells against iso-lines.
-struct ConvexPolygon {
-  std::vector<Point2> vertices;
+/// A read-only view of one convex polygon's vertices (counter-clockwise)
+/// stored elsewhere: a ConvexPolygon, or one piece of a PolygonList.
+struct PolygonView {
+  std::span<const Point2> vertices;
 
   bool IsEmpty() const { return vertices.size() < 3; }
 
@@ -132,6 +133,104 @@ struct ConvexPolygon {
   Point2 Centroid() const;
 
   Rect2 BoundingBox() const;
+};
+
+/// A simple convex polygon that owns its vertices (counter-clockwise).
+struct ConvexPolygon {
+  std::vector<Point2> vertices;
+
+  PolygonView View() const { return {vertices}; }
+  bool IsEmpty() const { return View().IsEmpty(); }
+  double Area() const { return View().Area(); }
+  Point2 Centroid() const { return View().Centroid(); }
+  Rect2 BoundingBox() const { return View().BoundingBox(); }
+};
+
+/// Convex polygons stored flat: every vertex in one arena, polygon after
+/// polygon, plus each polygon's end offset into the arena (polygon i
+/// spans [ends[i-1], ends[i]), with ends[-1] = 0). Adding a polygon
+/// costs no allocation once both buffers are reserved, and amortized
+/// O(log n) reallocations for n polygons otherwise. This is how the
+/// estimation step stores the pieces of an answer region.
+class PolygonList {
+ public:
+  /// Walks the polygons in order, yielding a PolygonView of each (what
+  /// range-for needs; not a full standard iterator).
+  class Iterator {
+   public:
+    PolygonView operator*() const {
+      return {{base_ + begin_, *end_ - begin_}};
+    }
+    Iterator& operator++() {
+      begin_ = *end_++;
+      return *this;
+    }
+    bool operator==(const Iterator& other) const {
+      return end_ == other.end_;
+    }
+
+   private:
+    friend class PolygonList;
+    Iterator(const Point2* base, const size_t* end)
+        : base_(base), end_(end) {}
+
+    const Point2* base_ = nullptr;
+    const size_t* end_ = nullptr;
+    size_t begin_ = 0;
+  };
+
+  size_t size() const { return ends_.size(); }
+  bool empty() const { return ends_.empty(); }
+
+  PolygonView operator[](size_t i) const {
+    const size_t begin = i == 0 ? 0 : ends_[i - 1];
+    return {{vertices_.data() + begin, ends_[i] - begin}};
+  }
+  Iterator begin() const { return {vertices_.data(), ends_.data()}; }
+  Iterator end() const {
+    return {vertices_.data(), ends_.data() + ends_.size()};
+  }
+
+  /// The arena: every polygon's vertices back to back, in order.
+  std::span<const Point2> vertices() const { return vertices_; }
+  size_t num_vertices() const { return vertices_.size(); }
+
+  /// Capacities of the offsets and of the arena.
+  size_t capacity() const { return ends_.capacity(); }
+  size_t vertex_capacity() const { return vertices_.capacity(); }
+
+  /// Removes every polygon; keeps both buffers for reuse.
+  void clear() {
+    vertices_.clear();
+    ends_.clear();
+  }
+
+  /// Reserves room for `polygons` polygons holding `vertices` vertices.
+  void reserve(size_t polygons, size_t vertices) {
+    ends_.reserve(polygons);
+    vertices_.reserve(vertices);
+  }
+
+  /// Appends one polygon, its vertices copied into the arena. `polygon`
+  /// must not view this list's own arena.
+  void Add(std::span<const Point2> polygon) {
+    vertices_.insert(vertices_.end(), polygon.begin(), polygon.end());
+    ends_.push_back(vertices_.size());
+  }
+
+  /// Appends copies of `other`'s polygons, rebasing their offsets past
+  /// this list's vertices. `other` must be a different list.
+  void Append(const PolygonList& other);
+
+  /// Appends `other`'s polygons and leaves `other` empty and reusable.
+  /// An empty list takes each of `other`'s two buffers whole unless it
+  /// already holds a larger one (a caller's reservation); otherwise the
+  /// polygons are copied as by Append(const PolygonList&).
+  void Append(PolygonList&& other);
+
+ private:
+  std::vector<Point2> vertices_;
+  std::vector<size_t> ends_;
 };
 
 /// The half-plane `Dot(n, p) + c >= 0`; `n` need not be unit length.
@@ -174,18 +273,27 @@ ConvexPolygon PolygonFromTriangle(const Triangle2& t);
 /// Clips a triangle (oriented as PolygonFromTriangle does) against the
 /// half-planes in order, ping-ponging between two stack buffers sized by
 /// the 2n bound of ClipHalfPlane (3 -> 6 -> 12 -> ... vertices), and
-/// stores a surviving piece in `out->vertices` with one exact-size
-/// assignment. Returns false, leaving `*out` untouched, when nothing
-/// survives. Bit-identical to chaining the ConvexPolygon ClipHalfPlane
-/// over PolygonFromTriangle(t).
+/// appends a surviving piece to `out` as one polygon. Returns false,
+/// leaving `*out` untouched, when nothing survives. Bit-identical to
+/// chaining the ConvexPolygon ClipHalfPlane over PolygonFromTriangle(t).
 template <size_t K>
 bool ClipTriangle(const Triangle2& t, const std::array<HalfPlane, K>& planes,
-                  ConvexPolygon* out) {
+                  PolygonList* out) {
   static_assert(K >= 1 && K <= 4,
                 "1 to 4 half-planes (at most 2 x 48 stack vertices)");
+  const std::array<Point2, 3> v = CcwVertices(t);
+  // A triangle with every vertex inside every half-plane survives whole:
+  // each pass would emit its vertices unchanged and find no crossing.
+  bool inside = true;
+  for (const HalfPlane& h : planes) {
+    for (const Point2& p : v) inside &= Dot(h.n, p) + h.c >= 0;
+  }
+  if (inside) {
+    out->Add(v);
+    return true;
+  }
   constexpr size_t kCapacity = size_t{3} << K;
   Point2 buf[2][kCapacity];
-  const std::array<Point2, 3> v = CcwVertices(t);
   std::copy(v.begin(), v.end(), buf[0]);
   size_t count = v.size();
   size_t cur = 0;
@@ -194,7 +302,7 @@ bool ClipTriangle(const Triangle2& t, const std::array<HalfPlane, K>& planes,
     if (count == 0) return false;
     cur ^= 1;
   }
-  out->vertices.assign(buf[cur], buf[cur] + count);
+  out->Add({buf[cur], count});
   return true;
 }
 

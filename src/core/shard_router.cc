@@ -340,7 +340,11 @@ Status ShardRouter::ValueQueryStats(const ValueInterval& query,
 Status ShardRouter::ValueQuery(const ValueInterval& query,
                                ValueQueryResult* out,
                                RouterQueryProfile* profile) const {
-  *out = ValueQueryResult{};
+  // Reset everything but the region's buffers: a caller reusing `out`
+  // gathers into the arena its last answer already grew.
+  out->region.pieces.clear();
+  out->stats = QueryStats{};
+  out->plan = PhysicalPlan{};
   AdmissionSlot slot(this);
   queries_->Increment();
   const auto t0 = std::chrono::steady_clock::now();
@@ -369,14 +373,21 @@ Status ShardRouter::ValueQuery(const ValueInterval& query,
 
   // Deterministic gather: ascending shard id. Shard-local store order
   // equals the global linearization restricted to the shard, so this
-  // concatenation is independent of the shard count. Pieces are moved,
-  // not copied, into one exact-size reservation.
+  // concatenation is independent of the shard count. Each shard's
+  // vertex arena is copied once into one reservation of the totals
+  // (kept from `out`'s last answer when large enough), its piece offsets
+  // rebased; a lone shard's buffers are taken whole unless `out`'s are
+  // larger.
   size_t total_pieces = 0;
+  size_t total_vertices = 0;
   for (uint32_t k : targets) {
     if (!statuses[k].ok()) return statuses[k];
     total_pieces += per_shard[k].region.NumPieces();
+    total_vertices += per_shard[k].region.pieces.num_vertices();
   }
-  out->region.pieces.reserve(total_pieces);
+  if (targets.size() > 1) {
+    out->region.pieces.reserve(total_pieces, total_vertices);
+  }
   for (uint32_t k : targets) {
     out->region.Append(std::move(per_shard[k].region));
     MergeStats(per_shard[k].stats, &out->stats);

@@ -122,11 +122,14 @@ class ShardRouter {
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
-  /// Scatter/gather value query with exact regions. Region pieces are
-  /// moved (not copied) out of each shard's result into one exact-size
-  /// reservation, in ascending shard id (see class comment for why that
-  /// is deterministic). The merged stats sum every touched shard's
-  /// counters; wall_seconds is the router-level wall time.
+  /// Scatter/gather value query with exact regions. Each shard's vertex
+  /// arena is appended, offsets rebased, into one reservation of the
+  /// summed vertex and piece counts, in ascending shard id (see
+  /// class comment for why that is deterministic); a query touching one
+  /// shard takes that shard's buffers whole unless `out` already holds
+  /// larger ones (a caller reusing `out` keeps its buffers). The merged
+  /// stats sum every touched shard's counters; wall_seconds is the
+  /// router-level wall time.
   Status ValueQuery(const ValueInterval& query, ValueQueryResult* out,
                     RouterQueryProfile* profile = nullptr) const;
 

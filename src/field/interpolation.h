@@ -1,6 +1,8 @@
 #ifndef FIELDDB_FIELD_INTERPOLATION_H_
 #define FIELDDB_FIELD_INTERPOLATION_H_
 
+#include <cmath>
+
 #include "common/geometry.h"
 #include "common/status.h"
 #include "field/cell.h"
@@ -26,9 +28,21 @@ struct LinearCoeffs {
 };
 
 /// Fits the plane through the triangle's vertices. Degenerate triangles
-/// (zero area) yield InvalidArgument.
-StatusOr<LinearCoeffs> FitTrianglePlane(Point2 a, double wa, Point2 b,
-                                        double wb, Point2 c, double wc);
+/// (zero area) yield InvalidArgument. Inline: the estimation step calls
+/// it for every sub-triangle it clips.
+inline StatusOr<LinearCoeffs> FitTrianglePlane(Point2 a, double wa, Point2 b,
+                                               double wb, Point2 c,
+                                               double wc) {
+  const double denom = Cross(b - a, c - a);
+  if (std::abs(denom) < kGeomEpsilon * kGeomEpsilon) {
+    return Status::InvalidArgument("degenerate triangle");
+  }
+  LinearCoeffs lc;
+  lc.gx = ((wb - wa) * (c.y - a.y) - (wc - wa) * (b.y - a.y)) / denom;
+  lc.gy = ((wc - wa) * (b.x - a.x) - (wb - wa) * (c.x - a.x)) / denom;
+  lc.c = wa - lc.gx * a.x - lc.gy * a.y;
+  return lc;
+}
 
 }  // namespace fielddb
 

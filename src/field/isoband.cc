@@ -26,11 +26,7 @@ Status ClipTriangle(Point2 a, double wa, Point2 b, double wb, Point2 c,
       HalfPlane{{plane->gx, plane->gy}, plane->c - q.min},
       // w(p) <= q.max  <=>  -gx*x - gy*y + (q.max - c) >= 0
       HalfPlane{{-plane->gx, -plane->gy}, q.max - plane->c}};
-  ConvexPolygon piece;
-  if (ClipTriangle(Triangle2{{a, b, c}}, band, &piece)) {
-    out->pieces.push_back(std::move(piece));
-    ++*appended;
-  }
+  if (ClipTriangle(Triangle2{{a, b, c}}, band, &out->pieces)) ++*appended;
   return Status::OK();
 }
 

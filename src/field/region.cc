@@ -6,13 +6,14 @@ namespace fielddb {
 
 double Region::TotalArea() const {
   double area = 0.0;
-  for (const ConvexPolygon& p : pieces) area += p.Area();
+  for (const PolygonView piece : pieces) area += piece.Area();
   return area;
 }
 
 Rect2 Region::BoundingBox() const {
   Rect2 r = Rect2::Empty();
-  for (const ConvexPolygon& p : pieces) r.Extend(p.BoundingBox());
+  // The union of the pieces' boxes is the box of the whole arena.
+  for (const Point2& p : pieces.vertices()) r.Extend(p);
   return r;
 }
 
@@ -33,7 +34,8 @@ bool WriteSvg(const char* path, const Rect2& viewport,
                "height=\"%d\" viewBox=\"0 0 %d %d\">\n",
                pixel_width, pixel_height, pixel_width, pixel_height);
   for (const SvgLayer& layer : layers) {
-    for (const ConvexPolygon& poly : layer.polygons) {
+    if (layer.polygons == nullptr) continue;
+    for (const PolygonView poly : *layer.polygons) {
       if (poly.vertices.empty()) continue;
       std::fprintf(f, "<polygon points=\"");
       for (const Point2& p : poly.vertices) {

@@ -27,11 +27,7 @@ Status ClipVectorTriangle(Point2 a, double ua, double va, Point2 b,
       HalfPlane{{-pu->gx, -pu->gy}, q.u.max - pu->c},
       HalfPlane{{pv->gx, pv->gy}, pv->c - q.v.min},
       HalfPlane{{-pv->gx, -pv->gy}, q.v.max - pv->c}};
-  ConvexPolygon piece;
-  if (ClipTriangle(Triangle2{{a, b, c}}, band, &piece)) {
-    out->pieces.push_back(std::move(piece));
-    ++*appended;
-  }
+  if (ClipTriangle(Triangle2{{a, b, c}}, band, &out->pieces)) ++*appended;
   return Status::OK();
 }
 

@@ -240,6 +240,8 @@ TEST(ClipHalfPlaneSpanTest, EmptyAndDegenerateInput) {
 
 TEST(ClipTriangleTest, MatchesChainedWrapperClips) {
   Rng rng(11);
+  PolygonList all;
+  std::vector<std::vector<Point2>> wants;
   for (int trial = 0; trial < 2000; ++trial) {
     const Triangle2 t{{Point2{rng.NextDouble(), rng.NextDouble()},
                        Point2{rng.NextDouble(), rng.NextDouble()},
@@ -251,9 +253,25 @@ TEST(ClipTriangleTest, MatchesChainedWrapperClips) {
     }
     ConvexPolygon want = PolygonFromTriangle(t);
     for (const HalfPlane& h : planes) want = ClipHalfPlane(want, h.n, h.c);
-    ConvexPolygon got;
-    EXPECT_EQ(ClipTriangle(t, planes, &got), !want.IsEmpty());
-    EXPECT_TRUE(legacy::SameBits(got.vertices, want.vertices));
+    const size_t before = all.size();
+    const size_t vertices_before = all.num_vertices();
+    EXPECT_EQ(ClipTriangle(t, planes, &all), !want.IsEmpty());
+    if (want.IsEmpty()) {
+      // A rejected triangle leaves the list untouched.
+      EXPECT_EQ(all.size(), before);
+      EXPECT_EQ(all.num_vertices(), vertices_before);
+    } else {
+      ASSERT_EQ(all.size(), before + 1);
+      EXPECT_TRUE(legacy::SameBits(all[before].vertices, want.vertices));
+      wants.push_back(want.vertices);
+    }
+  }
+  // Survivors land back to back in one arena, in clip order.
+  ASSERT_EQ(all.size(), wants.size());
+  EXPECT_GT(all.size(), 0u);
+  size_t i = 0;
+  for (const PolygonView piece : all) {
+    EXPECT_TRUE(legacy::SameBits(piece.vertices, wants[i++]));
   }
 }
 

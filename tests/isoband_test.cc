@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <initializer_list>
 #include <utility>
 #include <vector>
@@ -116,7 +118,8 @@ TEST(IsobandTest, RegionPiecesStayInsideCell) {
       0, Rect2{{2, 3}, {4, 5}}, 1, 9, 4, 7);
   Region region;
   ASSERT_TRUE(CellIsoband(quad, ValueInterval{3, 6}, &region).ok());
-  for (const ConvexPolygon& piece : region.pieces) {
+  ASSERT_GT(region.NumPieces(), 0u);
+  for (const PolygonView piece : region.pieces) {
     for (const Point2& p : piece.vertices) {
       EXPECT_TRUE(quad.Bounds().Contains(p));
     }
@@ -135,8 +138,8 @@ TEST(IsobandTest, EmptyQueryRejected) {
 // The estimation step as it was before the stack-buffer clip: every
 // sub-triangle clipped by chained vector-returning passes.
 Status LegacyClipTriangle(Point2 a, double wa, Point2 b, double wb, Point2 c,
-                          double wc, const ValueInterval& q, Region* out,
-                          size_t* appended) {
+                          double wc, const ValueInterval& q,
+                          legacy::Pieces* out, size_t* appended) {
   ValueInterval iv = ValueInterval::Empty();
   iv.Extend(wa);
   iv.Extend(wb);
@@ -149,14 +152,15 @@ Status LegacyClipTriangle(Point2 a, double wa, Point2 b, double wb, Point2 c,
       {HalfPlane{{plane->gx, plane->gy}, plane->c - q.min},
        HalfPlane{{-plane->gx, -plane->gy}, q.max - plane->c}});
   if (!poly.empty()) {
-    out->pieces.push_back(ConvexPolygon{std::move(poly)});
+    out->push_back(std::move(poly));
     ++*appended;
   }
   return Status::OK();
 }
 
 StatusOr<size_t> LegacyCellIsoband(const CellRecord& cell,
-                                   const ValueInterval& q, Region* out) {
+                                   const ValueInterval& q,
+                                   legacy::Pieces* out) {
   size_t appended = 0;
   if (!cell.Interval().Intersects(q)) return appended;
   if (cell.num_vertices == 3) {
@@ -228,7 +232,8 @@ CellRecord DrawQuad(Rng& rng) {
 
 void ExpectMatchesLegacy(const CellRecord& cell, const ValueInterval& band,
                          size_t* pieces) {
-  Region got, want;
+  Region got;
+  legacy::Pieces want;
   const StatusOr<size_t> n = CellIsoband(cell, band, &got);
   const StatusOr<size_t> m = LegacyCellIsoband(cell, band, &want);
   ASSERT_EQ(n.ok(), m.ok());
@@ -275,10 +280,14 @@ TEST(IsobandTest, BitIdenticalToLegacyClipOnEdgeCases) {
   EXPECT_GT(pieces, 0u);
 }
 
+void AddRect(Region* region, const Rect2& rect) {
+  region->pieces.Add(PolygonFromRect(rect).vertices);
+}
+
 TEST(RegionTest, AppendAndTotals) {
   Region a, b;
-  a.pieces.push_back(PolygonFromRect(Rect2{{0, 0}, {1, 1}}));
-  b.pieces.push_back(PolygonFromRect(Rect2{{2, 2}, {4, 3}}));
+  AddRect(&a, Rect2{{0, 0}, {1, 1}});
+  AddRect(&b, Rect2{{2, 2}, {4, 3}});
   a.Append(b);
   EXPECT_EQ(a.NumPieces(), 2u);
   EXPECT_NEAR(a.TotalArea(), 3.0, 1e-12);
@@ -287,19 +296,23 @@ TEST(RegionTest, AppendAndTotals) {
 
 Region MakeRegion(std::initializer_list<Rect2> rects) {
   Region r;
-  for (const Rect2& rect : rects) r.pieces.push_back(PolygonFromRect(rect));
+  for (const Rect2& rect : rects) AddRect(&r, rect);
   return r;
 }
 
 TEST(RegionTest, MoveAppendIntoEmptyTakesPieces) {
   Region src = MakeRegion({Rect2{{0, 0}, {1, 1}}, Rect2{{1, 0}, {2, 1}}});
-  const Point2* first_vertex = src.pieces[0].vertices.data();
+  const legacy::Pieces want = legacy::PiecesOf(src);
+  const Point2* arena = src.pieces.vertices().data();
   Region dst;
   dst.Append(std::move(src));
   ASSERT_EQ(dst.NumPieces(), 2u);
-  // The swap path hands over the pieces themselves, not copies.
-  EXPECT_EQ(dst.pieces[0].vertices.data(), first_vertex);
+  // The swap path hands over the vertex arena itself, not a copy.
+  EXPECT_EQ(dst.pieces.vertices().data(), arena);
+  EXPECT_EQ(dst.pieces[0].vertices.data(), arena);
+  legacy::ExpectSameRegion(dst, want);
   EXPECT_TRUE(src.IsEmpty());
+  EXPECT_EQ(src.pieces.num_vertices(), 0u);
 }
 
 TEST(RegionTest, MoveAppendKeepsOrderAndMatchesCopy) {
@@ -313,25 +326,30 @@ TEST(RegionTest, MoveAppendKeepsOrderAndMatchesCopy) {
   copied.Append(c);
 
   Region moved;
-  moved.pieces.reserve(8);  // A reservation survives the first append.
+  moved.pieces.reserve(8, 32);  // A reservation survives the first append.
+  const Point2* reserved = moved.pieces.vertices().data();
   for (Region part : {a, b, c}) moved.Append(std::move(part));
   EXPECT_GE(moved.pieces.capacity(), 8u);
+  EXPECT_GE(moved.pieces.vertex_capacity(), 32u);
+  EXPECT_EQ(moved.pieces.vertices().data(), reserved);
 
   ASSERT_EQ(moved.NumPieces(), 4u);
-  legacy::ExpectSameRegion(moved, copied);
-  EXPECT_EQ(moved.pieces[1].vertices, b.pieces[0].vertices);
-  EXPECT_EQ(moved.pieces[3].vertices, c.pieces[0].vertices);
+  legacy::ExpectSameRegion(moved, legacy::PiecesOf(copied));
+  EXPECT_TRUE(legacy::SameBits(moved.pieces[1].vertices,
+                               b.pieces[0].vertices));
+  EXPECT_TRUE(legacy::SameBits(moved.pieces[3].vertices,
+                               c.pieces[0].vertices));
 }
 
 TEST(RegionTest, MovedFromRegionIsReusable) {
   Region dst = MakeRegion({Rect2{{0, 0}, {1, 1}}});
   Region src = MakeRegion({Rect2{{1, 1}, {2, 2}}});
-  dst.Append(std::move(src));  // Non-empty target: element-wise move.
+  dst.Append(std::move(src));  // Non-empty target: copied, offsets rebased.
   EXPECT_EQ(dst.NumPieces(), 2u);
   EXPECT_TRUE(src.IsEmpty());
   EXPECT_DOUBLE_EQ(src.TotalArea(), 0.0);
 
-  src.pieces.push_back(PolygonFromRect(Rect2{{3, 3}, {5, 5}}));
+  AddRect(&src, Rect2{{3, 3}, {5, 5}});
   EXPECT_NEAR(src.TotalArea(), 4.0, 1e-12);
   dst.Append(std::move(src));
   EXPECT_EQ(dst.NumPieces(), 3u);
@@ -339,23 +357,85 @@ TEST(RegionTest, MovedFromRegionIsReusable) {
   EXPECT_TRUE(src.IsEmpty());
 }
 
+// A convex polygon of `n` vertices on a circle about `center`, so pieces
+// of different sizes make a wrong offset visible.
+std::vector<Point2> Ngon(Point2 center, size_t n) {
+  std::vector<Point2> v;
+  for (size_t i = 0; i < n; ++i) {
+    const double a = 2.0 * 3.141592653589793 * static_cast<double>(i) /
+                     static_cast<double>(n);
+    v.push_back(center + Point2{std::cos(a), std::sin(a)});
+  }
+  return v;
+}
+
+TEST(RegionTest, AppendRebasesOffsets) {
+  // Three parts with 0, 1 and many pieces of varying vertex counts.
+  legacy::Pieces parts[3];
+  parts[1].push_back(Ngon({0, 0}, 5));
+  for (size_t i = 0; i < 40; ++i) {
+    parts[2].push_back(Ngon({static_cast<double>(i), 1.0}, 3 + i % 7));
+  }
+  Region one;  // Every piece built in a single region.
+  legacy::Pieces want;
+  for (const legacy::Pieces& part : parts) {
+    for (const std::vector<Point2>& piece : part) {
+      one.pieces.Add(piece);
+      want.push_back(piece);
+    }
+  }
+  legacy::ExpectSameRegion(one, want);
+
+  auto build = [](const legacy::Pieces& part) {
+    Region r;
+    for (const std::vector<Point2>& piece : part) r.pieces.Add(piece);
+    return r;
+  };
+  // Every order of the three parts, by copy and by move, into an empty
+  // and into a non-empty target.
+  int order[3] = {0, 1, 2};
+  do {
+    Region copied, moved, copied_after, moved_after;
+    AddRect(&copied_after, Rect2{{-2, -2}, {-1, -1}});
+    AddRect(&moved_after, Rect2{{-2, -2}, {-1, -1}});
+    legacy::Pieces expect;
+    legacy::Pieces expect_after = legacy::PiecesOf(copied_after);
+    for (const int k : order) {
+      const Region part = build(parts[k]);
+      copied.Append(part);
+      copied_after.Append(part);
+      moved.Append(build(parts[k]));
+      moved_after.Append(build(parts[k]));
+      expect.insert(expect.end(), parts[k].begin(), parts[k].end());
+      expect_after.insert(expect_after.end(), parts[k].begin(),
+                          parts[k].end());
+    }
+    legacy::ExpectSameRegion(copied, expect);
+    legacy::ExpectSameRegion(moved, expect);
+    legacy::ExpectSameRegion(copied_after, expect_after);
+    legacy::ExpectSameRegion(moved_after, expect_after);
+    EXPECT_EQ(moved.pieces.num_vertices(), one.pieces.num_vertices());
+  } while (std::next_permutation(order, order + 3));
+  legacy::ExpectSameRegion(one, want);
+}
+
 TEST(SvgTest, RejectsEmptyViewportAndBadPath) {
   Region region;
-  region.pieces.push_back(PolygonFromRect(Rect2{{0, 0}, {1, 1}}));
+  AddRect(&region, Rect2{{0, 0}, {1, 1}});
   const std::string path = ::testing::TempDir() + "/fielddb_bad.svg";
   EXPECT_FALSE(WriteSvg(path.c_str(), Rect2::Empty(),
-                        {SvgLayer{region.pieces}}));
+                        {SvgLayer{&region.pieces}}));
   EXPECT_FALSE(WriteSvg("/no/such/dir/out.svg", Rect2{{0, 0}, {1, 1}},
-                        {SvgLayer{region.pieces}}));
+                        {SvgLayer{&region.pieces}}));
   std::remove(path.c_str());
 }
 
 TEST(SvgTest, WritesFile) {
   Region region;
-  region.pieces.push_back(PolygonFromRect(Rect2{{0, 0}, {1, 1}}));
+  AddRect(&region, Rect2{{0, 0}, {1, 1}});
   const std::string path = ::testing::TempDir() + "/fielddb_region.svg";
   ASSERT_TRUE(WriteSvg(path.c_str(), Rect2{{0, 0}, {2, 2}},
-                       {SvgLayer{region.pieces, "#ff0000", "#000000", 0.5}}));
+                       {SvgLayer{&region.pieces, "#ff0000", "#000000", 0.5}}));
   std::FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
   char buf[64] = {};

@@ -7,6 +7,7 @@
 #define FIELDDB_TESTS_LEGACY_CLIP_H_
 
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -56,22 +57,38 @@ inline std::vector<Point2> ClipTriangle(const Triangle2& t,
   return poly;
 }
 
+/// The pieces of a region as plain vertex vectors, independent of how
+/// Region stores them.
+using Pieces = std::vector<std::vector<Point2>>;
+
 /// True when both vertex lists hold the same doubles bit for bit.
-inline bool SameBits(const std::vector<Point2>& a,
-                     const std::vector<Point2>& b) {
+inline bool SameBits(std::span<const Point2> a, std::span<const Point2> b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(Point2)) == 0);
 }
 
-/// Asserts two regions have the same pieces in the same order, every
-/// vertex double bit-identical.
-inline void ExpectSameRegion(const Region& got, const Region& want) {
-  ASSERT_EQ(got.NumPieces(), want.NumPieces());
-  for (size_t i = 0; i < got.NumPieces(); ++i) {
-    EXPECT_TRUE(SameBits(got.pieces[i].vertices, want.pieces[i].vertices))
-        << "piece " << i;
+/// Copies a region's pieces out through its piece view.
+inline Pieces PiecesOf(const Region& region) {
+  Pieces out;
+  for (const PolygonView piece : region.pieces) {
+    out.emplace_back(piece.vertices.begin(), piece.vertices.end());
   }
+  return out;
+}
+
+/// Asserts `got` holds the pieces of `want` in the same order, every
+/// vertex double bit-identical, whether read by index or by iteration.
+inline void ExpectSameRegion(const Region& got, const Pieces& want) {
+  ASSERT_EQ(got.NumPieces(), want.size());
+  size_t i = 0;
+  for (const PolygonView piece : got.pieces) {
+    ASSERT_LT(i, want.size());
+    EXPECT_TRUE(SameBits(piece.vertices, want[i])) << "piece " << i;
+    EXPECT_TRUE(SameBits(got.pieces[i].vertices, want[i])) << "piece " << i;
+    ++i;
+  }
+  EXPECT_EQ(i, want.size());
 }
 
 }  // namespace legacy

@@ -46,7 +46,7 @@ std::vector<ValueInterval> TestQueries(const ValueInterval& range) {
 std::vector<std::vector<double>> CanonicalPieces(const Region& region) {
   std::vector<std::vector<double>> pieces;
   pieces.reserve(region.pieces.size());
-  for (const ConvexPolygon& poly : region.pieces) {
+  for (const PolygonView poly : region.pieces) {
     std::vector<double> flat;
     flat.reserve(poly.vertices.size() * 2);
     for (const Point2& v : poly.vertices) {
@@ -61,7 +61,7 @@ std::vector<std::vector<double>> CanonicalPieces(const Region& region) {
 
 std::vector<std::vector<double>> ExactPieces(const Region& region) {
   std::vector<std::vector<double>> pieces;
-  for (const ConvexPolygon& poly : region.pieces) {
+  for (const PolygonView poly : region.pieces) {
     std::vector<double> flat;
     for (const Point2& v : poly.vertices) {
       flat.push_back(v.x);
@@ -172,6 +172,33 @@ TEST(ShardRouterTest, OutOfRangeQuerySkipsEveryShard) {
   EXPECT_EQ(profile.shards_skipped, 4u);
   EXPECT_EQ(stats.answer_cells, 0u);
   EXPECT_EQ(stats.io.logical_reads, 0u);
+}
+
+TEST(ShardRouterTest, ReusedResultMatchesFreshResult) {
+  // The router clears a caller's result and gathers into its kept
+  // buffers; answers must not depend on what the result held before.
+  const GridField field = MakeTestField();
+  const ValueInterval range = field.ValueRange();
+  std::vector<ValueInterval> queries = TestQueries(range);
+  queries.insert(queries.begin(), range);  // largest answer first
+  queries.push_back(range);
+  for (const uint32_t shards : {1u, 4u}) {
+    ShardRouterOptions ro;
+    ro.shards = shards;
+    auto router = ShardRouter::Build(field, ro);
+    ASSERT_TRUE(router.ok());
+    ValueQueryResult reused;
+    for (const ValueInterval& q : queries) {
+      ValueQueryResult fresh;
+      ASSERT_TRUE((*router)->ValueQuery(q, &fresh).ok());
+      ASSERT_TRUE((*router)->ValueQuery(q, &reused).ok());
+      EXPECT_EQ(reused.stats.answer_cells, fresh.stats.answer_cells)
+          << "shards=" << shards << " " << q.ToString();
+      EXPECT_EQ(reused.stats.region_pieces, fresh.stats.region_pieces);
+      EXPECT_EQ(reused.region.NumPieces(), fresh.stats.region_pieces);
+      EXPECT_EQ(ExactPieces(reused.region), ExactPieces(fresh.region));
+    }
+  }
 }
 
 TEST(ShardRouterTest, SharedScanMatchesIsolatedExecution) {

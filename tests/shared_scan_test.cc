@@ -18,6 +18,7 @@
 #include "gen/fractal.h"
 #include "gen/workload.h"
 #include "index/i_hilbert.h"
+#include "legacy_clip.h"
 #include "obs/metrics.h"
 #include "storage/fault_injection.h"
 
@@ -81,8 +82,10 @@ TEST_F(SharedScanTest, MatchesIsolatedAcrossAllMethods) {
       EXPECT_EQ(shared[i].stats.index_fallbacks, 0u);
       ASSERT_EQ(shared[i].region.NumPieces(), isolated[i].region.NumPieces());
       // Same cells visited in the same storage order: the areas are
-      // bit-identical, not merely close.
+      // bit-identical, not merely close, and so is every piece.
       EXPECT_EQ(shared[i].region.TotalArea(), isolated[i].region.TotalArea());
+      legacy::ExpectSameRegion(shared[i].region,
+                               legacy::PiecesOf(isolated[i].region));
     }
   }
 }

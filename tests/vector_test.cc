@@ -126,7 +126,7 @@ TEST(VectorIsobandTest, DisjointBandEmpty) {
 Status LegacyClipVectorTriangle(Point2 a, double ua, double va, Point2 b,
                                 double ub, double vb, Point2 c, double uc,
                                 double vc, const VectorBandQuery& q,
-                                Region* out, size_t* appended) {
+                                legacy::Pieces* out, size_t* appended) {
   ValueInterval iu = ValueInterval::Empty(), iv = ValueInterval::Empty();
   iu.Extend(ua); iu.Extend(ub); iu.Extend(uc);
   iv.Extend(va); iv.Extend(vb); iv.Extend(vc);
@@ -142,7 +142,7 @@ Status LegacyClipVectorTriangle(Point2 a, double ua, double va, Point2 b,
        HalfPlane{{pv->gx, pv->gy}, pv->c - q.v.min},
        HalfPlane{{-pv->gx, -pv->gy}, q.v.max - pv->c}});
   if (!poly.empty()) {
-    out->pieces.push_back(ConvexPolygon{std::move(poly)});
+    out->push_back(std::move(poly));
     ++*appended;
   }
   return Status::OK();
@@ -150,7 +150,7 @@ Status LegacyClipVectorTriangle(Point2 a, double ua, double va, Point2 b,
 
 StatusOr<size_t> LegacyVectorCellIsoband(const VectorCellRecord& cell,
                                          const VectorBandQuery& q,
-                                         Region* out) {
+                                         legacy::Pieces* out) {
   size_t appended = 0;
   if (!cell.ValueBox().Intersects(q.AsBox())) return appended;
   if (cell.num_vertices == 3) {
@@ -241,7 +241,8 @@ TEST(VectorIsobandTest, BitIdenticalToLegacyClipOnRandomCells) {
     const VectorBandQuery q{
         DrawComponentBand(rng, cell.u, cell.num_vertices),
         DrawComponentBand(rng, cell.v, cell.num_vertices)};
-    Region got, want;
+    Region got;
+    legacy::Pieces want;
     const StatusOr<size_t> n = VectorCellIsoband(cell, q, &got);
     const StatusOr<size_t> m = LegacyVectorCellIsoband(cell, q, &want);
     ASSERT_EQ(n.ok(), m.ok()) << "trial " << trial;

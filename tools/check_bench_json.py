@@ -9,6 +9,7 @@ and in CI pipelines that plot the figures from the telemetry.
 
 import json
 import math
+import statistics
 import sys
 
 _POINT_FIELDS = [
@@ -565,10 +566,13 @@ class Checker:
 
         # Every shard count is measured in `rounds` interleaved rounds;
         # a point's figures are its best (highest-QPS) round, with
-        # failures and admission waits summed over all rounds.
+        # failures and admission waits summed over all rounds, and its
+        # speedup is the median over rounds of its QPS / the same
+        # round's 1-shard QPS.
         rounds = self.number(report, "rounds", "report", minimum=1)
         points = self.require(report, "points", list, "report")
         best_qps = {}
+        round_qps = {}
         speedups = {}
         if points is not None:
             if not points:
@@ -589,21 +593,28 @@ class Checker:
                 waits = self.number(point, "admission_waits", where,
                                     minimum=0)
                 failed = self.number(point, "failed", where, minimum=0)
-                self.check_shard_rounds(point, where, rounds, qps, waits,
-                                        failed)
+                per_round = self.check_shard_rounds(point, where, rounds,
+                                                    qps, waits, failed)
                 if shards is not None and qps is not None:
                     best_qps[shards] = qps
+                    round_qps[shards] = per_round
                     if speedup is not None:
                         speedups[shards] = speedup
             if 1 not in best_qps:
                 self.error("report", "missing the shards=1 baseline")
-            elif best_qps[1] > 0:
+            else:
+                base = round_qps[1]
                 for shards, speedup in speedups.items():
-                    expected = best_qps[shards] / best_qps[1]
+                    mine = round_qps[shards]
+                    if (len(mine) != len(base) or not base
+                            or min(base) <= 0):
+                        continue  # already reported per round
+                    expected = statistics.median(
+                        q / b for q, b in zip(mine, base))
                     if not math.isclose(speedup, expected, rel_tol=1e-6):
                         self.error(f"shards={shards}",
-                                   f"speedup_vs_1 {speedup} != best qps "
-                                   f"ratio {expected}")
+                                   f"speedup_vs_1 {speedup} != median "
+                                   f"same-round qps ratio {expected}")
 
         target = self.number(report, "speedup_target", "report", minimum=0)
         # The >= 2.5x acceptance gate only binds on real multi-core
@@ -620,8 +631,8 @@ class Checker:
                 and isinstance(threads, (int, float)) and threads < 4):
             self.error("report",
                        f"speedup_gated on {threads} hardware threads")
-        # A gated pass must be backed by the recorded best-of-rounds
-        # figures: some count within the hardware threads reaches it.
+        # A gated pass must be backed by the recorded median speedups:
+        # some count within the hardware threads reaches the target.
         if (report.get("speedup_gated") is True
                 and report.get("speedup_ok") is True
                 and isinstance(threads, (int, float))
@@ -649,9 +660,11 @@ class Checker:
         return qps
 
     def check_shard_rounds(self, point, where, rounds, qps, waits, failed):
+        """Validates a point's rounds against its summary figures;
+        returns the per-round qps list (empty if unreadable)."""
         entries = self.require(point, "rounds", list, where)
         if entries is None:
-            return
+            return []
         if isinstance(rounds, int) and len(entries) != rounds:
             self.error(where,
                        f"{len(entries)} rounds recorded, report says {rounds}")
@@ -676,6 +689,7 @@ class Checker:
                               f"{round_waits}")
         if failed is not None and failed != round_failed:
             self.error(where, f"failed {failed} != round sum {round_failed}")
+        return round_qps if len(round_qps) == len(entries) else []
 
     def check_series(self, ser, where):
         if not isinstance(ser, dict):

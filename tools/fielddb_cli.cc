@@ -259,7 +259,7 @@ int CmdQuery(const Args& args) {
   if (args.Has("svg")) {
     const std::string path = args.Get("svg", "query.svg");
     if (!WriteSvg(path.c_str(), (*db)->domain(),
-                  {SvgLayer{result.region.pieces}})) {
+                  {SvgLayer{&result.region.pieces}})) {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
       return 1;
     }
